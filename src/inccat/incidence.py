@@ -34,7 +34,7 @@ from .errors import TruncationError
 from .families import FamilyContext, IsoClass
 from .hall import Combination, HallElement, TensorElement, counit
 from .ideals import interval_to_quotient_lattice, order_ideals, sum_decomposition
-from .posets import Poset, canonical_form, find_isomorphisms, induced_subposet
+from .posets import Poset, canonical_form, find_isomorphisms, induced_subposet, relabel_by
 
 
 @dataclass(frozen=True)
@@ -251,7 +251,7 @@ def verify_hopf_relation(ctx: FamilyContext, cutoff: int, seed: int = 0) -> Hopf
             p = cls.representative
             perm = list(range(size))
             rng.shuffle(perm)
-            q = _relabel_by(p, perm)
+            q = relabel_by(p, perm)
             if canonical_form(q, ctx.mode) != cls.key:
                 violations.append(f"relabeled copy of {cls.hex_key} changed class")
                 continue
@@ -292,18 +292,3 @@ def verify_hopf_relation(ctx: FamilyContext, cutoff: int, seed: int = 0) -> Hopf
     return HopfRelationReport(
         ctx.name, product_checks, neutrality_checks, order_checks, seed, tuple(violations)
     )
-
-
-def _relabel_by(p: Poset, perm: list[int]) -> Poset:
-    """Image of P under the relabeling i -> perm[i] (labels refreshed)."""
-    n = p.size
-    leq = [0] * n
-    colors = [0] * n
-    for i in range(n):
-        row = 0
-        for j in range(n):
-            if p.le(i, j):
-                row |= 1 << perm[j]
-        leq[perm[i]] = row
-        colors[perm[i]] = p.colors[i]
-    return Poset(tuple(leq), None, tuple(colors))

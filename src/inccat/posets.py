@@ -152,12 +152,6 @@ class Poset:
             out |= self.downs[i]
         return out
 
-    def up_closure(self, mask: int) -> int:
-        out = 0
-        for i in bits(mask):
-            out |= self.leq[i]
-        return out
-
     def comparability_mask(self, i: int) -> int:
         return self.leq[i] | self.downs[i]
 
@@ -268,6 +262,21 @@ def disjoint_union(p: Poset, q: Poset) -> tuple[Poset, tuple[int, ...], tuple[in
     colors = p.colors + q.colors
     poset = Poset(tuple(leq), tuple(labels), colors)
     return poset, tuple(range(n)), tuple(range(n, n + m))
+
+
+def relabel_by(p: Poset, perm: list[int]) -> Poset:
+    """Image of P under the relabeling i -> perm[i] (labels refreshed)."""
+    n = p.size
+    leq = [0] * n
+    colors = [0] * n
+    for i in range(n):
+        row = 0
+        for j in range(n):
+            if p.le(i, j):
+                row |= 1 << perm[j]
+        leq[perm[i]] = row
+        colors[perm[i]] = p.colors[i]
+    return Poset(tuple(leq), None, tuple(colors))
 
 
 def cartesian_product(p: Poset, q: Poset) -> Poset:

@@ -27,21 +27,6 @@ def permutations_of(draw, n):
     return list(perm)
 
 
-def relabel(p: Poset, perm: list[int]) -> Poset:
-    """Image of P under i -> perm[i], with default labels."""
-    n = p.size
-    leq = [0] * n
-    colors = [0] * n
-    for i in range(n):
-        row = 0
-        for j in range(n):
-            if p.le(i, j):
-                row |= 1 << perm[j]
-        leq[perm[i]] = row
-        colors[perm[i]] = p.colors[i]
-    return Poset(tuple(leq), None, tuple(colors))
-
-
 @pytest.fixture(scope="session")
 def chain2():
     return from_covers(["a", "b"], [("a", "b")])

@@ -1,5 +1,8 @@
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
+from conftest import posets
 from inccat.category import (
     CategoryObject,
     Morphism,
@@ -22,7 +25,17 @@ from inccat.category import (
     zero_morphism,
 )
 from inccat.errors import CompositionError, NotAnIdealError, PosetError
-from inccat.posets import MapMode, automorphisms, canonical_form, from_covers, induced_subposet
+from inccat.families import fin_up_to
+from inccat.ideals import is_order_ideal, order_ideals
+from inccat.posets import (
+    MapMode,
+    automorphisms,
+    bits,
+    canonical_form,
+    find_isomorphisms,
+    from_covers,
+    induced_subposet,
+)
 
 ALL = MapMode.ALL_POSET_ISOS
 
@@ -55,6 +68,42 @@ class TestMorphismValidation:
     def test_zero_morphism(self, objs):
         z = zero_morphism(objs["c2"], objs["ac2"])
         assert z.is_zero and z.i1 == 0b11 and z.i2 == 0 and z.fmap == ()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_order_check_matches_pairwise_oracle(self, data):
+        """The constructor's up-set test rejects exactly what the pairwise loop rejects."""
+        mode = data.draw(st.sampled_from(list(MapMode)))
+        p1 = data.draw(posets(max_size=5, num_colors=2))
+        i1 = p1.down_closure(data.draw(st.integers(0, p1.full_mask)))
+        domain = tuple(bits(p1.full_mask & ~i1))
+        k = len(domain)
+        p2 = data.draw(posets(min_size=k, max_size=max(k, 5), num_colors=2))
+        # every poset has an ideal of each size (a prefix of a linear extension)
+        i2 = data.draw(st.sampled_from([i for i in order_ideals(p2) if i.bit_count() == k]))
+        sub1, _ = induced_subposet(p1, p1.full_mask & ~i1)
+        sub2, elems2 = induced_subposet(p2, i2)
+        isos = find_isomorphisms(sub1, sub2, mode)
+        if isos and data.draw(st.booleans()):
+            fmap = tuple(elems2[isos[0].mapping[j]] for j in range(k))
+        else:
+            fmap = tuple(data.draw(st.permutations(list(bits(i2)))))
+
+        expected = None
+        for a, fa in zip(domain, fmap):
+            if any(p1.le(a, b) != p2.le(fa, fb) for b, fb in zip(domain, fmap)):
+                expected = "f does not respect the order"
+                break
+            if mode is MapMode.COLOR_PRESERVING_ISOS and p1.colors[a] != p2.colors[fa]:
+                expected = "f does not preserve colors"
+                break
+
+        source, target = CategoryObject(p1), CategoryObject(p2)
+        if expected is None:
+            Morphism(source, target, i1, i2, fmap, mode)
+        else:
+            with pytest.raises(PosetError, match=expected):
+                Morphism(source, target, i1, i2, fmap, mode)
 
 
 class TestIdentity:
@@ -135,6 +184,19 @@ class TestCompose:
                                 gf = compose(g, f)
                                 for h in hom_set(objs[c], objs[d]):
                                     assert compose(h, gf) == compose(compose(h, g), f)
+
+    def test_composite_ideals_fin3(self):
+        """K1 is an ideal containing I1 and K3 an ideal inside I3', for every pair."""
+        ctx = fin_up_to(3)
+        objects = [CategoryObject(cls.representative) for n in range(4) for cls in ctx.classes(n)]
+        for a in objects:
+            for b in objects:
+                for f in hom_set(a, b):
+                    for c in objects:
+                        for g in hom_set(b, c):
+                            h = compose(g, f)
+                            assert h.i1 & f.i1 == f.i1 and is_order_ideal(a.poset, h.i1)
+                            assert h.i2 & ~g.i2 == 0 and is_order_ideal(c.poset, h.i2)
 
 
 class TestImageKernelCokernel:

@@ -23,7 +23,7 @@ from inccat.hall import (
     structure_constant,
     unit,
 )
-from inccat.posets import is_connected
+from inccat.posets import is_connected, relabel_by
 
 
 @pytest.fixture(scope="module")
@@ -140,7 +140,6 @@ class TestStructureConstants:
 
     def test_representative_permutation_independence(self, fin):
         # hand-built classes whose representatives are permuted copies
-        from conftest import relabel as permute
         from inccat.families import IsoClass
 
         dot, c2 = fin.classes(1)[0], cls_by_covers(fin, 2, 1)
@@ -148,7 +147,7 @@ class TestStructureConstants:
             rep = cls.representative
             twisted = IsoClass(
                 cls.key,
-                permute(rep, list(reversed(range(rep.size)))),
+                relabel_by(rep, list(reversed(range(rep.size)))),
                 cls.size,
                 cls.color_vector,
                 cls.mode,

@@ -4,7 +4,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from conftest import posets, relabel
+from conftest import posets
 from inccat.errors import CycleError, PosetError, SizeCapError
 from inccat.posets import (
     EMPTY_POSET,
@@ -21,6 +21,7 @@ from inccat.posets import (
     induced_subposet,
     is_convex,
     is_convex_via_ideals,
+    relabel_by,
 )
 
 ALL = MapMode.ALL_POSET_ISOS
@@ -262,7 +263,7 @@ class TestCanonicalForm:
     def test_relabel_invariance(self, data):
         p = data.draw(posets(max_size=6, num_colors=2))
         perm = data.draw(st.permutations(list(range(p.size))))
-        q = relabel(p, list(perm))
+        q = relabel_by(p, list(perm))
         assert canonical_form(p, ALL) == canonical_form(q, ALL)
         assert canonical_form(p, COLOR) == canonical_form(q, COLOR)
 

@@ -3,12 +3,15 @@ import json
 import pytest
 
 import inccat.verification as verification
-from inccat.category import Morphism, compose, identity
+from inccat.category import Morphism, compose, identity, zero_morphism
 from inccat.cli import main
 from inccat.families import fin_up_to, sets_up_to
 from inccat.verification import (
     CheckResult,
+    category_suite,
     check_associativity,
+    check_cokernel_universal,
+    check_kernel_universal,
     check_unit_laws,
     run_verification,
 )
@@ -66,6 +69,72 @@ class TestFailureDetection:
         monkeypatch.setattr(verification, "compose", flaky)
         result = check_associativity(fin2, 2)
         assert not result.passed
+
+
+def corrupt_one_composite(monkeypatch, chooses):
+    """Make ``verification.compose`` return zero for one composable pair.
+
+    The pair is the first one with a nonzero composite that ``chooses``
+    accepts; every later composition of that same pair is corrupted too.
+    """
+    corrupted = []
+
+    def sabotaged(second, first):
+        result = compose(second, first)
+        if not corrupted and not result.is_zero and chooses(second, first):
+            corrupted.append((second, first))
+        if corrupted and corrupted[0] == (second, first):
+            return zero_morphism(result.source, result.target, result.mode)
+        return result
+
+    monkeypatch.setattr(verification, "compose", sabotaged)
+    return corrupted
+
+
+def record_calls(monkeypatch, name):
+    """Wrap ``verification.<name>`` and collect the morphisms it returns."""
+    made = []
+    original = getattr(verification, name)
+
+    def recording(m):
+        out = original(m)
+        made.append(out)
+        return out
+
+    monkeypatch.setattr(verification, name, recording)
+    return made
+
+
+class TestTabulatedChecksCatchCorruption:
+    """A single wrong composite in a tabulated check must surface as a failure."""
+
+    def test_kernel_universal(self, fin2, monkeypatch):
+        kernels = record_calls(monkeypatch, "kernel")
+        corrupted = corrupt_one_composite(monkeypatch, lambda second, first: second in kernels)
+        result = check_kernel_universal(fin2, 2)
+        assert corrupted
+        assert not result.passed
+        assert result.counterexample["factorizations"] != 1
+
+    def test_cokernel_universal(self, fin2, monkeypatch):
+        cokernels = record_calls(monkeypatch, "cokernel")
+        corrupted = corrupt_one_composite(monkeypatch, lambda second, first: first in cokernels)
+        result = check_cokernel_universal(fin2, 2)
+        assert corrupted
+        assert not result.passed
+        assert result.counterexample["factorizations"] != 1
+
+    def test_mono_epi_cancellation_on_shared_table(self, fin2, monkeypatch):
+        # id o f collides with id o 0 in the identity's row, so id stops
+        # looking left-cancellable although it is a mono
+        corrupted = corrupt_one_composite(
+            monkeypatch, lambda second, first: second == identity(second.source, second.mode)
+        )
+        results = {r.name: r for r in category_suite(fin2, 2, 2)}
+        result = results["category.mono-epi-cancellation[n<=2]"]
+        assert corrupted
+        assert not result.passed
+        assert result.counterexample["side"] == "mono"
 
 
 class TestVerifyCliFailurePath:
