@@ -28,7 +28,6 @@ zero morphism X_{P1} -> X_{P2} is (full ideal, empty ideal, empty map).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import CompositionError, NotAnIdealError, PosetError
 from .ideals import is_order_ideal, order_ideals
@@ -56,9 +55,6 @@ class CategoryObject:
     @property
     def size(self) -> int:
         return self.poset.size
-
-    def canonical_key(self, mode: MapMode = MapMode.ALL_POSET_ISOS) -> bytes:
-        return canonical_form(self.poset, mode)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"X({','.join(self.poset.labels)})"
@@ -121,17 +117,6 @@ class Morphism:
     def f_dict(self) -> dict[int, int]:
         return dict(zip(self.domain_elements, self.fmap))
 
-    def apply(self, x: int) -> int:
-        return self.f_dict()[x]
-
-    @property
-    def kernel_ideal(self) -> int:
-        return self.i1
-
-    @property
-    def image_ideal(self) -> int:
-        return self.i2
-
     @property
     def is_zero(self) -> bool:
         return self.i2 == 0
@@ -156,7 +141,12 @@ def zero_morphism(a: CategoryObject, b: CategoryObject, mode: MapMode = MapMode.
     return Morphism(a, b, a.poset.full_mask, 0, (), mode)
 
 
-@lru_cache(maxsize=None)
+# Hom sets by (source, target, mode).  Morphisms carry their endpoint
+# objects, labels included, so the key is the whole object.  A hom set
+# never goes stale, so the table lives as long as the process.
+_hom_sets: dict[tuple, tuple[Morphism, ...]] = {}
+
+
 def hom_set(a: CategoryObject, b: CategoryObject, mode: MapMode = MapMode.ALL_POSET_ISOS) -> tuple[Morphism, ...]:
     """The complete finite Hom(X_{P1}, X_{P2}) in a deterministic order.
 
@@ -164,6 +154,10 @@ def hom_set(a: CategoryObject, b: CategoryObject, mode: MapMode = MapMode.ALL_PO
     admissible isomorphism from the complement onto the target ideal,
     ordered lexicographically by mapping tuple.
     """
+    memo_key = (a, b, mode)
+    hit = _hom_sets.get(memo_key)
+    if hit is not None:
+        return hit
     p1, p2 = a.poset, b.poset
     out: list[Morphism] = []
     lat2_by_size: dict[int, list[int]] = {}
@@ -177,7 +171,9 @@ def hom_set(a: CategoryObject, b: CategoryObject, mode: MapMode = MapMode.ALL_PO
             for iso in find_isomorphisms(sub1, sub2, mode):
                 fmap = tuple(elems2[iso.mapping[k]] for k in range(len(elems1)))
                 out.append(Morphism(a, b, i1, i2, fmap, mode))
-    return tuple(out)
+    result = tuple(out)
+    _hom_sets[memo_key] = result
+    return result
 
 
 def compose(second: Morphism, first: Morphism) -> Morphism:

@@ -25,7 +25,7 @@ from .category import (
     short_exact_sequences,
 )
 from .errors import IncCatError
-from .families import FamilyContext, family_from_spec
+from .families import FamilyContext, IsoClass, family_from_spec
 from .hall import delta, k0_truncated, primitive_basis, product, coproduct, antipode, structure_constant
 from .ideals import order_ideals
 from .posets import MapMode, bits
@@ -44,16 +44,13 @@ def _print(text: str = "") -> None:
     sys.stdout.write(text + "\n")
 
 
-def _class_label(ctx: FamilyContext, key_hex: str) -> str:
-    for cls in ctx.all_classes():
-        if cls.hex_key == key_hex:
-            rep = cls.representative
-            covers = ",".join(f"{rep.labels[i]}<{rep.labels[j]}" for i, j in rep.covers)
-            colors = ""
-            if ctx.num_colors > 1:
-                colors = ";colors=" + ",".join(str(c) for c in rep.colors)
-            return f"size={cls.size};covers=[{covers}]{colors}"
-    return "?"
+def _class_label(ctx: FamilyContext, cls: IsoClass) -> str:
+    rep = cls.representative
+    covers = ",".join(f"{rep.labels[i]}<{rep.labels[j]}" for i, j in rep.covers)
+    colors = ""
+    if ctx.num_colors > 1:
+        colors = ";colors=" + ",".join(str(c) for c in rep.colors)
+    return f"size={cls.size};covers=[{covers}]{colors}"
 
 
 def cmd_ideals(args: argparse.Namespace) -> int:
@@ -130,15 +127,14 @@ def cmd_ses(args: argparse.Namespace) -> int:
 
 
 def _print_hall(ctx: FamilyContext, element, as_json: bool) -> None:
-    doc = jsonio.hall_element_to_doc(element)
     if as_json:
-        sys.stdout.write(jsonio.dumps(doc))
+        sys.stdout.write(jsonio.dumps(jsonio.hall_element_to_doc(element)))
         return
-    if not doc:
+    if not element:
         _print("0")
         return
-    for key_hex, value in doc.items():
-        _print(f"{value}\t{key_hex}\t{_class_label(ctx, key_hex)}")
+    for cls, value in jsonio.ordered_hall_items(element):
+        _print(f"{jsonio.fraction_to_str(value)}\t{cls.hex_key}\t{_class_label(ctx, cls)}")
 
 
 def cmd_product(args: argparse.Namespace) -> int:
@@ -196,8 +192,8 @@ def cmd_primitives(args: argparse.Namespace) -> int:
         return 0
     _print(str(len(basis)))
     for f in basis:
-        for key_hex in jsonio.hall_element_to_doc(f):
-            _print(f"{key_hex}\t{_class_label(ctx, key_hex)}")
+        for cls, _ in jsonio.ordered_hall_items(f):
+            _print(f"{cls.hex_key}\t{_class_label(ctx, cls)}")
     return 0
 
 

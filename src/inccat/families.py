@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .errors import FamilyError, TruncationError
-from .category import CategoryObject
 from .ideals import order_ideals
 from .posets import (
     EMPTY_POSET,
@@ -86,7 +85,12 @@ def _color_vector(p: Poset, num_colors: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True, eq=False)
 class FamilyContext:
-    """A family truncated at ``max_size``, with its full class index."""
+    """A family truncated at ``max_size``, with its full class index.
+
+    ``memo`` holds the tables of per-class results that depend on the
+    context (Hall split tables, antipodes), one named sub-table each;
+    they live and die with the context.
+    """
 
     name: str
     mode: MapMode
@@ -95,8 +99,11 @@ class FamilyContext:
     classes_by_size: tuple[tuple[IsoClass, ...], ...]
     member: Callable[[Poset], bool] = field(repr=False)
     _by_key: dict[bytes, IsoClass] = field(repr=False)
+    memo: dict[str, dict] = field(default_factory=dict, init=False, repr=False)
 
     def classes(self, size: int) -> tuple[IsoClass, ...]:
+        if size < 0:
+            raise FamilyError(f"class size must be nonnegative, got {size}")
         if size > self.max_size:
             raise TruncationError(
                 f"family {self.name!r} is truncated at size {self.max_size}, needed {size}"
@@ -131,11 +138,6 @@ class FamilyContext:
             )
         return cls
 
-    def object_of(self, p: Poset) -> CategoryObject:
-        if not self.contains(p):
-            raise FamilyError(f"poset is not a member of family {self.name!r}")
-        return CategoryObject(p)
-
 
 def _add_maximal_element(p: Poset, below: int, color: int) -> Poset:
     """Extend by one new maximal element whose strict down-set is ``below``."""
@@ -158,6 +160,8 @@ def _generate(
     a maximal element, so feeding back each size level generates all
     classes; colored families try every color for the new element.
     """
+    if max_size < 0:
+        raise FamilyError(f"max size must be nonnegative, got {max_size}")
     levels: list[list[tuple[bytes, Poset]]] = [[(canonical_form(EMPTY_POSET, mode), EMPTY_POSET)]]
     for _ in range(max_size):
         seen: dict[bytes, Poset] = {}

@@ -21,11 +21,10 @@ need classes beyond the context's cutoff raise ``TruncationError``.
 from __future__ import annotations
 
 from fractions import Fraction
-from weakref import WeakKeyDictionary
 
 from . import linalg
 from .category import CategoryObject, short_exact_sequences
-from .errors import IncCatError, TruncationError
+from .errors import FamilyError, IncCatError, TruncationError
 from .families import FamilyContext, IsoClass
 from .ideals import order_ideals
 from .posets import connected_components, find_isomorphisms, induced_subposet, is_connected
@@ -130,17 +129,14 @@ def unit(ctx: FamilyContext) -> HallElement:
     return delta(ctx.empty_class)
 
 
-_SPLIT_CACHE: "WeakKeyDictionary[FamilyContext, dict[bytes, tuple]]" = WeakKeyDictionary()
-
-
 def _ideal_splits(ctx: FamilyContext, r_cls: IsoClass) -> tuple:
     """(class of X_I, class of X_{R\\I}) for every ideal I of R's representative.
 
     Depends only on the class, so it is computed once per family context;
     every convolution against R then reduces to dictionary lookups.
     """
-    cache = _SPLIT_CACHE.setdefault(ctx, {})
-    hit = cache.get(r_cls.key)
+    table = ctx.memo.setdefault("splits", {})
+    hit = table.get(r_cls.key)
     if hit is not None:
         return hit
     rep = r_cls.representative
@@ -150,7 +146,7 @@ def _ideal_splits(ctx: FamilyContext, r_cls: IsoClass) -> tuple:
         rest, _ = induced_subposet(rep, rep.full_mask & ~ideal)
         splits.append((ctx.class_of(sub), ctx.class_of(rest)))
     result = tuple(splits)
-    cache[r_cls.key] = result
+    table[r_cls.key] = result
     return result
 
 
@@ -269,9 +265,6 @@ def is_primitive(f: HallElement, ctx: FamilyContext) -> bool:
     return coproduct(f, ctx) == expected
 
 
-_ANTIPODE_CACHE: "WeakKeyDictionary[FamilyContext, dict[bytes, HallElement]]" = WeakKeyDictionary()
-
-
 def antipode(f: HallElement, ctx: FamilyContext) -> HallElement:
     """The antipode, by the graded-connected recursion.
 
@@ -291,14 +284,14 @@ def antipode(f: HallElement, ctx: FamilyContext) -> HallElement:
 def _antipode_class(ctx: FamilyContext, cls: IsoClass) -> HallElement:
     if cls.size == 0:
         return delta(cls)
-    cache = _ANTIPODE_CACHE.setdefault(ctx, {})
-    hit = cache.get(cls.key)
+    table = ctx.memo.setdefault("antipode", {})
+    hit = table.get(cls.key)
     if hit is not None:
         return hit
     result = -delta(cls)
     for (left, right), value in reduced_coproduct(delta(cls), ctx).items():
         result = result - value * product(_antipode_class(ctx, left), delta(right), ctx)
-    cache[cls.key] = result
+    table[cls.key] = result
     return result
 
 
@@ -364,6 +357,8 @@ class K0Presentation:
     """
 
     def __init__(self, ctx: FamilyContext, cutoff: int):
+        if cutoff < 0:
+            raise FamilyError(f"cutoff must be nonnegative, got {cutoff}")
         if cutoff > ctx.max_size:
             raise TruncationError(
                 f"family {ctx.name!r} is truncated at {ctx.max_size}, cutoff {cutoff} requested"

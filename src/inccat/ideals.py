@@ -4,7 +4,7 @@ Every poset P has a lattice of downward-closed subsets with join = union
 and meet = intersection.  Ideals are enumerated as down-closures of the
 antichains of maximal elements (a bijection, so the enumeration is linear
 in the output and never touches all 2^n subsets), listed in a fixed order
-(popcount, then numeric mask value) and cached per poset.
+(popcount, then numeric mask value) and cached per order relation.
 
 Two structural correspondences from this module power everything
 downstream: the interval [I, L] in J_P is the ideal lattice of the convex
@@ -45,7 +45,6 @@ class IdealLattice:
     mask value); ``index`` maps each mask back to its position.
     """
 
-    base: Poset
     ideals: tuple[int, ...]
     index: dict[int, int] = field(repr=False)
 
@@ -57,14 +56,6 @@ class IdealLattice:
 
     def __iter__(self):
         return iter(self.ideals)
-
-    @property
-    def bottom(self) -> int:
-        return 0
-
-    @property
-    def top(self) -> int:
-        return self.base.full_mask
 
     def require_member(self, mask: int) -> None:
         if mask not in self.index:
@@ -81,18 +72,19 @@ class IdealLattice:
         return i1 & i2
 
 
-# Keyed by poset value; population is idempotent, so a race can at worst
-# recompute the same lattice.
-_LATTICE_CACHE: dict[Poset, IdealLattice] = {}
+# Lattices by ``leq``: J_P depends on the order alone, so copies that
+# differ only in labels or colors share one entry.  A lattice never goes
+# stale, so the table lives as long as the process.
+_lattices: dict[tuple[int, ...], IdealLattice] = {}
 
 
 def order_ideals(p: Poset) -> IdealLattice:
-    """Enumerate J_P (cached per poset value).
+    """Enumerate J_P (cached per order relation).
 
     Each ideal is the down-closure of a unique antichain (its maximal
     elements), so a DFS over antichains yields every ideal exactly once.
     """
-    hit = _LATTICE_CACHE.get(p)
+    hit = _lattices.get(p.leq)
     if hit is not None:
         return hit
     n = p.size
@@ -107,8 +99,8 @@ def order_ideals(p: Poset) -> IdealLattice:
 
     grow(0, 0, p.full_mask)
     ideals = tuple(sorted(found, key=lambda m: (m.bit_count(), m)))
-    lattice = IdealLattice(p, ideals, {m: k for k, m in enumerate(ideals)})
-    _LATTICE_CACHE[p] = lattice
+    lattice = IdealLattice(ideals, {m: k for k, m in enumerate(ideals)})
+    _lattices[p.leq] = lattice
     return lattice
 
 

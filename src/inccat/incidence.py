@@ -28,7 +28,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from weakref import WeakKeyDictionary
 
 from .errors import TruncationError
 from .families import FamilyContext, IsoClass
@@ -170,11 +169,6 @@ def schmitt_unit(ctx: FamilyContext) -> IncidenceElement:
     return IncidenceElement({IntervalClass(ctx.empty_class): Fraction(1)})
 
 
-_SCHMITT_ANTIPODE_CACHE: "WeakKeyDictionary[FamilyContext, dict[bytes, IncidenceElement]]" = (
-    WeakKeyDictionary()
-)
-
-
 def schmitt_antipode(f: IncidenceElement, ctx: FamilyContext) -> IncidenceElement:
     """Antipode on the incidence side, by the same graded recursion.
 
@@ -191,8 +185,8 @@ def schmitt_antipode(f: IncidenceElement, ctx: FamilyContext) -> IncidenceElemen
 def _schmitt_antipode_class(ctx: FamilyContext, cls: IntervalClass) -> IncidenceElement:
     if cls.size == 0:
         return IncidenceElement({cls: Fraction(1)})
-    cache = _SCHMITT_ANTIPODE_CACHE.setdefault(ctx, {})
-    hit = cache.get(cls.iso.key)
+    table = ctx.memo.setdefault("schmitt_antipode", {})
+    hit = table.get(cls.iso.key)
     if hit is not None:
         return hit
     one = IncidenceElement({cls: Fraction(1)})
@@ -206,7 +200,7 @@ def _schmitt_antipode_class(ctx: FamilyContext, cls: IntervalClass) -> Incidence
             ctx,
         )
         result = result - value * term
-    cache[cls.iso.key] = result
+    table[cls.iso.key] = result
     return result
 
 

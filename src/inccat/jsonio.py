@@ -117,9 +117,13 @@ def str_to_fraction(text: str) -> Fraction:
     return Fraction(text)
 
 
+def ordered_hall_items(f: HallElement) -> list:
+    """(class, coefficient) pairs in output order: by size, then by key."""
+    return sorted(f.items(), key=lambda kv: (kv[0].size, kv[0].key))
+
+
 def hall_element_to_doc(f: HallElement) -> dict[str, str]:
-    ordered = sorted(f.items(), key=lambda kv: (kv[0].size, kv[0].key))
-    return {cls.hex_key: fraction_to_str(value) for cls, value in ordered}
+    return {cls.hex_key: fraction_to_str(value) for cls, value in ordered_hall_items(f)}
 
 
 def hall_element_from_doc(doc: dict[str, str], ctx: FamilyContext) -> HallElement:

@@ -476,10 +476,12 @@ def _twin_classes(p: Poset, colors: tuple[int, ...]) -> list[int]:
     return cls
 
 
-# Content-keyed memo table.  Population is idempotent (the key is a pure
-# function of the poset value), so concurrent readers can at worst repeat
-# a computation; results are identical with or without the cache.
-_CANON_CACHE: dict[tuple, bytes] = {}
+# Canonical keys by (mode, leq, color keys): everything the key depends
+# on and nothing more, so relabelled copies share an entry, and so do
+# recoloured copies in ALL_POSET_ISOS mode.  A key never goes stale, so
+# the table lives as long as the process; filling an entry twice stores
+# the same bytes, so a race can only repeat work.
+_canonical_keys: dict[tuple, bytes] = {}
 
 
 def canonical_form(p: Poset, mode: MapMode = MapMode.ALL_POSET_ISOS) -> bytes:
@@ -496,8 +498,8 @@ def canonical_form(p: Poset, mode: MapMode = MapMode.ALL_POSET_ISOS) -> bytes:
     if p.size == 0:
         return b""
     colors = _color_keys(p, mode)
-    cache_key = (mode, p.leq, colors)
-    hit = _CANON_CACHE.get(cache_key)
+    memo_key = (mode, p.leq, colors)
+    hit = _canonical_keys.get(memo_key)
     if hit is not None:
         return hit
 
@@ -554,7 +556,7 @@ def canonical_form(p: Poset, mode: MapMode = MapMode.ALL_POSET_ISOS) -> bytes:
         cell_color = {rank: colors[cells[rank][0]] for rank in cells}
         key += bytes(cell_color[rank] for rank in pos_cell)
     key += bytes(packed)
-    _CANON_CACHE[cache_key] = key
+    _canonical_keys[memo_key] = key
     return key
 
 
@@ -599,10 +601,6 @@ def find_isomorphisms(p: Poset, q: Poset, mode: MapMode = MapMode.ALL_POSET_ISOS
 
     backtrack(0)
     return out
-
-
-def are_isomorphic(p: Poset, q: Poset, mode: MapMode = MapMode.ALL_POSET_ISOS) -> bool:
-    return canonical_form(p, mode) == canonical_form(q, mode)
 
 
 def automorphisms(p: Poset, mode: MapMode = MapMode.ALL_POSET_ISOS) -> list[Bijection]:

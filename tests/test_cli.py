@@ -211,3 +211,18 @@ class TestErrors:
             )
             == 2
         )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["family", "dump", "--family", "fin", "--max-size", "2", "--size", "-1"],
+            ["primitives", "--family", "fin", "--max-size", "2", "--degree", "-1"],
+            ["constants", "--family", "fin", "--max-size", "2", "--size", "-1"],
+            ["k0", "--family", "fin", "--max-size", "2", "--cutoff", "-1"],
+            ["k0", "--family", "fin", "--max-size", "-1", "--cutoff", "-1"],
+            ["verify", "--family", "sets", "--max-size", "-1"],
+        ],
+    )
+    def test_negative_size_exit_2(self, argv, capsys):
+        code, out = run(capsys, *argv)
+        assert code == 2 and out == ""

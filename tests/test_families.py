@@ -94,6 +94,14 @@ class TestFin:
     def test_closure_trivial(self):
         assert verify_closure(fin_up_to(4)).ok
 
+    def test_negative_sizes_rejected(self):
+        with pytest.raises(FamilyError):
+            fin_up_to(2).classes(-1)
+        with pytest.raises(FamilyError):
+            fin_up_to(-1)
+        with pytest.raises(FamilyError):
+            forests_up_to(-1, root_max=True)
+
 
 class TestSets:
     def test_one_class_per_size(self):

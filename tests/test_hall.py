@@ -5,7 +5,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from inccat.errors import TruncationError
+from inccat.errors import FamilyError, TruncationError
 from inccat.families import colored_sets_up_to, fin_up_to, forests_up_to, sets_up_to
 from inccat.hall import (
     HallElement,
@@ -306,6 +306,10 @@ class TestK0:
     def test_truncation(self):
         with pytest.raises(TruncationError):
             k0_truncated(fin_up_to(2), 3)
+
+    def test_negative_cutoff(self):
+        with pytest.raises(FamilyError):
+            k0_truncated(fin_up_to(2), -1)
 
 
 def random_elements(ctx, max_degree=3):
