@@ -87,8 +87,8 @@ def _color_vector(p: Poset, num_colors: int) -> tuple[int, ...]:
 class FamilyContext:
     """A family truncated at ``max_size``, with its full class index.
 
-    ``memo`` holds the tables of per-class results that depend on the
-    context (Hall split tables, antipodes), one named sub-table each;
+    ``memo`` holds the tables of results that depend on the context (the
+    Hall split index per degree, antipodes), one named sub-table each;
     they live and die with the context.
     """
 

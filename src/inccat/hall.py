@@ -14,8 +14,10 @@ Everything is exact: coefficients are ``fractions.Fraction``.  The
 algebra is graded by poset size and connected in degree zero, so the
 counit is evaluation at the empty class and the antipode is the standard
 graded recursion over the reduced coproduct.  A family context supplies
-the candidate classes a product can land on; computations that would
-need classes beyond the context's cutoff raise ``TruncationError``.
+the classes of each degree; the product inverts their ideal splits into
+an index from (sub, quotient) class pairs to the classes they assemble,
+so it visits only the classes its factors can reach.  Computations that
+would need classes beyond the context's cutoff raise ``TruncationError``.
 """
 
 from __future__ import annotations
@@ -129,53 +131,54 @@ def unit(ctx: FamilyContext) -> HallElement:
     return delta(ctx.empty_class)
 
 
-def _ideal_splits(ctx: FamilyContext, r_cls: IsoClass) -> tuple:
-    """(class of X_I, class of X_{R\\I}) for every ideal I of R's representative.
+def _split_index(ctx: FamilyContext, total: int) -> dict:
+    """(class of X_I, class of X_{R\\I}) -> ((R, number of such I), ...).
 
-    Depends only on the class, so it is computed once per family context;
-    every convolution against R then reduces to dictionary lookups.
+    Inverts the ideal splits of every class R of size ``total`` so that a
+    product looks up the classes a pair of factors can land on instead of
+    scanning the whole degree.  Computed once per degree and context.
     """
     table = ctx.memo.setdefault("splits", {})
-    hit = table.get(r_cls.key)
+    hit = table.get(total)
     if hit is not None:
         return hit
-    rep = r_cls.representative
-    splits = []
-    for ideal in order_ideals(rep).ideals:
-        sub, _ = induced_subposet(rep, ideal)
-        rest, _ = induced_subposet(rep, rep.full_mask & ~ideal)
-        splits.append((ctx.class_of(sub), ctx.class_of(rest)))
-    result = tuple(splits)
-    table[r_cls.key] = result
+    index: dict[tuple[IsoClass, IsoClass], list] = {}
+    for r_cls in ctx.classes(total):
+        rep = r_cls.representative
+        counts: dict[tuple[IsoClass, IsoClass], int] = {}
+        for ideal in order_ideals(rep).ideals:
+            sub, _ = induced_subposet(rep, ideal)
+            rest, _ = induced_subposet(rep, rep.full_mask & ~ideal)
+            pair = (ctx.class_of(sub), ctx.class_of(rest))
+            counts[pair] = counts.get(pair, 0) + 1
+        for pair, n in counts.items():
+            index.setdefault(pair, []).append((r_cls, n))
+    result = {pair: tuple(entries) for pair, entries in index.items()}
+    table[total] = result
     return result
 
 
 def product(f: HallElement, g: HallElement, ctx: FamilyContext) -> HallElement:
-    """Convolution product, evaluated class by class.
+    """Convolution product, read off the split index of each target degree.
 
-    For every candidate class R whose size is a sum of a degree of f and a
-    degree of g, the coefficient of delta_R is the sum over ideals I of
-    R's representative of f([X_I]) g([X_{R \\ I}]).
+    The coefficient of delta_R is the sum over ideals I of R's
+    representative of f([X_I]) g([X_{R \\ I}]); grouping the ideals by the
+    classes of X_I and X_{R \\ I}, each pair of terms x delta_P of f and
+    y delta_Q of g adds x y N(P,Q;R) to every R the index lists for (P, Q).
     """
-    out: dict[IsoClass, Fraction] = {}
-    sums = sorted({a + b for a in (c.size for c in f.coeffs) for b in (c.size for c in g.coeffs)})
-    for total in sums:
+    indexes = {}
+    for total in sorted({p.size + q.size for p in f.coeffs for q in g.coeffs}):
         if total > ctx.max_size:
             raise TruncationError(
                 f"product needs classes of size {total}, family {ctx.name!r} "
                 f"is truncated at {ctx.max_size}"
             )
-        for r_cls in ctx.classes(total):
-            acc = Fraction(0)
-            for sub_cls, quot_cls in _ideal_splits(ctx, r_cls):
-                c1 = f.coeff(sub_cls)
-                if not c1:
-                    continue
-                c2 = g.coeff(quot_cls)
-                if c2:
-                    acc += c1 * c2
-            if acc:
-                out[r_cls] = acc
+        indexes[total] = _split_index(ctx, total)
+    out: dict[IsoClass, Fraction] = {}
+    for p_cls, x in f.coeffs.items():
+        for q_cls, y in g.coeffs.items():
+            for r_cls, n in indexes[p_cls.size + q_cls.size].get((p_cls, q_cls), ()):
+                out[r_cls] = out.get(r_cls, 0) + x * y * n
     return HallElement(out)
 
 

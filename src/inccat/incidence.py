@@ -125,6 +125,7 @@ def schmitt_product_element(
     f: IncidenceElement, g: IncidenceElement, ctx: FamilyContext
 ) -> IncidenceElement:
     """The product as an element, evaluated on every candidate class."""
+    # The class-by-class scan stays on purpose: it is the independent phi oracle for hall.product.
     out: dict[IntervalClass, Fraction] = {}
     sums = sorted({a + b for a in (c.size for c in f.coeffs) for b in (c.size for c in g.coeffs)})
     for total in sums:

@@ -130,6 +130,27 @@ class TestStructureConstants:
                         for r in fin.classes(sa + sb):
                             assert result.coeff(r) == structure_constant(a, b, r)
 
+    @pytest.mark.parametrize(
+        "make_ctx, max_total",
+        [
+            (lambda: fin_up_to(5), 5),
+            (lambda: colored_sets_up_to(4, 2), 4),
+            (lambda: forests_up_to(4), 4),
+        ],
+        ids=["fin", "csets2", "forests"],
+    )
+    def test_matches_product_exhaustively(self, make_ctx, max_total):
+        ctx = make_ctx()
+        classes = ctx.all_classes()
+        for a in classes:
+            for b in classes:
+                total = a.size + b.size
+                if total > max_total:
+                    continue
+                result = product(delta(a), delta(b), ctx)
+                for r in ctx.classes(total):
+                    assert result.coeff(r) == structure_constant(a, b, r), (a, b, r)
+
     def test_representative_independence(self, fin, chain3):
         relabeled = chain3.relabel(["z", "q", "m"])
         dot = fin.classes(1)[0]
@@ -360,6 +381,28 @@ class TestLinearityOnRandomElements:
         for (a, b), v in coproduct(f, ctx).items():
             acc = acc + v * product(antipode(delta(a), ctx), delta(b), ctx)
         assert acc == counit(f) * unit(ctx)
+
+
+class TestProductOnRandomElements:
+    """Mixed-degree products against the structure-constant oracle.
+
+    Dropping a multiplicity or pairing terms of the wrong degrees keeps the
+    product bilinear, so only a comparison with N(P,Q;R) exposes it.
+    """
+
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_product_matches_structure_constants(self, fin, data):
+        f = data.draw(random_elements(fin))
+        g = data.draw(random_elements(fin))
+        expected = {}
+        for p, x in f.items():
+            for q, y in g.items():
+                for r in fin.classes(p.size + q.size):
+                    n = structure_constant(p, q, r)
+                    if n:
+                        expected[r] = expected.get(r, 0) + x * y * n
+        assert product(f, g, fin) == HallElement(expected)
 
 
 class TestGrading:

@@ -2,9 +2,9 @@
 change a result.
 
 Value-keyed tables (canonical keys, ideal lattices, hom sets) are module
-dicts that live as long as the process; per-context tables (Hall split
-tables and both antipodes) live in ``FamilyContext.memo`` and die with
-the context.
+dicts that live as long as the process; per-context tables (the Hall
+split index per degree and both antipodes) live in ``FamilyContext.memo``
+and die with the context.
 """
 
 import gc
@@ -13,7 +13,7 @@ import weakref
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from inccat import ideals, posets
+from inccat import hall, ideals, posets
 from inccat.families import fin_up_to
 from inccat.hall import antipode, delta, product
 from inccat.incidence import phi, schmitt_antipode
@@ -33,6 +33,25 @@ def test_context_is_collected_after_use():
     del ctx
     gc.collect()
     assert ref() is None
+
+
+def test_split_index_built_once_per_degree(monkeypatch):
+    ctx = fin_up_to(4)
+    a, b = ctx.classes(1)[0], ctx.classes(2)[1]
+    product(delta(a), delta(b), ctx)
+    assert set(ctx.memo["splits"]) == {3}
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return posets.induced_subposet(*args, **kwargs)
+
+    monkeypatch.setattr(hall, "induced_subposet", counting)
+    product(delta(b), delta(a), ctx)
+    assert calls == []
+    product(delta(a), delta(a), ctx)
+    assert calls and set(ctx.memo["splits"]) == {2, 3}
 
 
 def test_lattice_shared_by_relabelled_and_recoloured_copies():
