@@ -176,14 +176,22 @@ def _generate(
     return levels
 
 
-def _context(
+def _family(
     name: str,
     mode: MapMode,
     num_colors: int,
     max_size: int,
-    levels: list[list[tuple[bytes, Poset]]],
+    extensions: Callable[[Poset], list[int]],
     member: Callable[[Poset], bool],
+    dual: bool = False,
 ) -> FamilyContext:
+    """Generate the classes, dualise them if ``dual``, and index them."""
+    levels = _generate(max_size, mode, num_colors, extensions)
+    if dual:
+        levels = [
+            sorted((canonical_form(p.dual(), mode), p.dual()) for _, p in level)
+            for level in levels
+        ]
     classes_by_size = []
     by_key: dict[bytes, IsoClass] = {}
     for size, level in enumerate(levels):
@@ -224,32 +232,31 @@ def _colors_below(p: Poset, k: int) -> bool:
 
 def fin_up_to(n: int) -> FamilyContext:
     """All finite posets up to isomorphism, each size <= n."""
-    levels = _generate(
-        n,
+    return _family(
+        "fin",
         MapMode.ALL_POSET_ISOS,
         1,
+        n,
         lambda p: list(order_ideals(p).ideals),
+        lambda p: True,
     )
-    return _context("fin", MapMode.ALL_POSET_ISOS, 1, n, levels, lambda p: True)
 
 
 def sets_up_to(n: int) -> FamilyContext:
     """Finite sets (antichains): exactly one class per size."""
-    levels = _generate(n, MapMode.ALL_POSET_ISOS, 1, lambda p: [0])
-    return _context("sets", MapMode.ALL_POSET_ISOS, 1, n, levels, _is_antichain)
+    return _family("sets", MapMode.ALL_POSET_ISOS, 1, n, lambda p: [0], _is_antichain)
 
 
 def colored_sets_up_to(n: int, k: int) -> FamilyContext:
     """k-colored sets; classes are color-count vectors, maps preserve colors."""
     if k < 1:
         raise FamilyError("need at least one color")
-    levels = _generate(n, MapMode.COLOR_PRESERVING_ISOS, k, lambda p: [0])
-    return _context(
+    return _family(
         f"csets:{k}",
         MapMode.COLOR_PRESERVING_ISOS,
         k,
         n,
-        levels,
+        lambda p: [0],
         lambda p: _is_antichain(p) and _colors_below(p, k),
     )
 
@@ -261,16 +268,14 @@ def _forest_extensions(p: Poset) -> list[int]:
 
 def forests_up_to(n: int, root_max: bool = False) -> FamilyContext:
     """Posets of rooted forests (roots minimal; dualize with root_max)."""
-    if not root_max:
-        levels = _generate(n, MapMode.ALL_POSET_ISOS, 1, _forest_extensions)
-        return _context("forests", MapMode.ALL_POSET_ISOS, 1, n, levels, _is_forest)
-    dual_levels = _generate(n, MapMode.ALL_POSET_ISOS, 1, _forest_extensions)
-    levels = [
-        sorted((canonical_form(p.dual(), MapMode.ALL_POSET_ISOS), p.dual()) for _, p in level)
-        for level in dual_levels
-    ]
-    return _context(
-        "forests:root-max", MapMode.ALL_POSET_ISOS, 1, n, levels, _is_forest_root_max
+    return _family(
+        "forests:root-max" if root_max else "forests",
+        MapMode.ALL_POSET_ISOS,
+        1,
+        n,
+        _forest_extensions,
+        _is_forest_root_max if root_max else _is_forest,
+        dual=root_max,
     )
 
 
@@ -278,29 +283,15 @@ def colored_forests_up_to(n: int, k: int, root_max: bool = False) -> FamilyConte
     """k-colored rooted forests with color-preserving isomorphisms."""
     if k < 1:
         raise FamilyError("need at least one color")
-    mode = MapMode.COLOR_PRESERVING_ISOS
-    if not root_max:
-        levels = _generate(n, mode, k, _forest_extensions)
-        return _context(
-            f"cforests:{k}",
-            mode,
-            k,
-            n,
-            levels,
-            lambda p: _is_forest(p) and _colors_below(p, k),
-        )
-    dual_levels = _generate(n, mode, k, _forest_extensions)
-    levels = [
-        sorted((canonical_form(p.dual(), mode), p.dual()) for _, p in level)
-        for level in dual_levels
-    ]
-    return _context(
-        f"cforests:{k}:root-max",
-        mode,
+    shape = _is_forest_root_max if root_max else _is_forest
+    return _family(
+        f"cforests:{k}:root-max" if root_max else f"cforests:{k}",
+        MapMode.COLOR_PRESERVING_ISOS,
         k,
         n,
-        levels,
-        lambda p: _is_forest_root_max(p) and _colors_below(p, k),
+        _forest_extensions,
+        lambda p: shape(p) and _colors_below(p, k),
+        dual=root_max,
     )
 
 

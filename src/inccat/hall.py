@@ -304,15 +304,15 @@ def tensor_product(t1: TensorElement, t2: TensorElement, ctx: FamilyContext) -> 
     (a (x) b)(c (x) d) = (a*c) (x) (b*d), extended bilinearly; used by the
     bialgebra compatibility check Delta(f*g) = Delta(f) Delta(g).
     """
-    out = TensorElement.zero()
+    out: dict[tuple[IsoClass, IsoClass], Fraction] = {}
     for (a, b), x in t1.items():
         for (c, d), y in t2.items():
             left = product(delta(a), delta(c), ctx)
             right = product(delta(b), delta(d), ctx)
             for lc, lv in left.items():
                 for rc, rv in right.items():
-                    out = out + TensorElement({(lc, rc): x * y * lv * rv})
-    return out
+                    out[(lc, rc)] = out.get((lc, rc), Fraction(0)) + x * y * lv * rv
+    return TensorElement(out)
 
 
 def primitive_basis(ctx: FamilyContext, degree: int) -> list[HallElement]:
@@ -399,8 +399,15 @@ class K0Presentation:
         return vec
 
     def relations_contain(self, vector: list[int]) -> bool:
-        """Does the vector vanish in the truncated K0?"""
-        return linalg.in_row_lattice([list(r) for r in self.relations], vector)
+        """Does the vector vanish in the truncated K0?
+
+        Z^n modulo the relation lattice is a finitely generated abelian
+        group, hence Hopfian: appending a vector to the relations presents
+        an isomorphic quotient only if the vector was already in the
+        lattice.  So the test compares the stored invariant factors (and
+        with them the free rank) with those of the extended matrix.
+        """
+        return linalg.smith_diagonal([*self.relations, vector]) == self.smith_diagonal
 
 
 def k0_truncated(ctx: FamilyContext, cutoff: int) -> K0Presentation:

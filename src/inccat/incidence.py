@@ -148,6 +148,7 @@ def schmitt_coproduct(f: IncidenceElement, ctx: FamilyContext) -> TensorElement:
     degree of f; the lattice product J_P x J_Q is realized as the ideal
     lattice of the disjoint union via the sum decomposition.
     """
+    # Kept as the phi oracle: check_phi_intertwines compares it with hall.coproduct.
     out: dict[tuple[IntervalClass, IntervalClass], Fraction] = {}
     degrees = sorted({cls.size for cls in f.coeffs})
     for total in degrees:
@@ -163,6 +164,7 @@ def schmitt_coproduct(f: IncidenceElement, ctx: FamilyContext) -> TensorElement:
 
 def schmitt_counit(f: IncidenceElement) -> Fraction:
     """Evaluation at the class of the one-element lattice J_emptyset."""
+    # Kept as the phi oracle: check_phi_intertwines compares it with hall.counit.
     return sum((v for cls, v in f.items() if cls.size == 0), Fraction(0))
 
 

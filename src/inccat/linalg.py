@@ -1,11 +1,8 @@
 """Exact integer/rational linear algebra, backed by sympy.
 
-Only the three operations the Hall algebra needs: Smith normal form
-diagonals of integer relation matrices, exact rank over the rationals,
-and membership of a vector in the row lattice of an integer matrix.  The
-membership test uses the Hopfian property of finitely generated abelian
-groups: appending a row changes nothing about the presented quotient iff
-the row already lies in the row lattice.
+Only the two operations the Hall algebra needs: Smith normal form
+diagonals of integer relation matrices, and exact rank over the
+rationals.
 """
 
 from __future__ import annotations
@@ -27,16 +24,3 @@ def rank_over_q(rows: list[list[int]]) -> int:
         return 0
     return Matrix(rows).rank()
 
-
-def in_row_lattice(rows: list[list[int]], vector: list[int]) -> bool:
-    """Is ``vector`` an integer combination of ``rows``?
-
-    Z^n modulo the row lattice is a finitely generated abelian group,
-    hence Hopfian: enlarging the lattice by a new vector presents an
-    isomorphic quotient only if the vector was already inside.  So the
-    test compares invariant factors (and implicitly the free rank) before
-    and after appending.
-    """
-    base = smith_diagonal(rows)
-    extended = smith_diagonal(rows + [vector])
-    return base == extended

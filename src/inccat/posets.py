@@ -422,7 +422,10 @@ def _color_keys(p: Poset, mode: MapMode) -> tuple[int, ...]:
     return (0,) * p.size
 
 
-def element_signatures(p: Poset, mode: MapMode, rounds: int = 2) -> tuple:
+_SIGNATURE_ROUNDS = 2
+
+
+def element_signatures(p: Poset, mode: MapMode) -> tuple:
     """Isomorphism-invariant signature per element.
 
     Starts from (color, |down-set|, |up-set|, height) and refines a fixed
@@ -441,7 +444,7 @@ def element_signatures(p: Poset, mode: MapMode, rounds: int = 2) -> tuple:
         (colors[i], p.downs[i].bit_count(), p.leq[i].bit_count(), height[i])
         for i in range(n)
     ]
-    for _ in range(rounds):
+    for _ in range(_SIGNATURE_ROUNDS):
         sig = [
             (
                 sig[i],

@@ -395,28 +395,22 @@ def category_suite(ctx: FamilyContext, assoc_max: int, universal_max: int) -> li
 # Hopf suite
 
 
-def _delta_triples(ctx: FamilyContext, total: int):
-    for sa in range(total + 1):
-        for a in ctx.classes(sa):
-            for sb in range(total - sa + 1):
-                for b in ctx.classes(sb):
-                    for sc in range(total - sa - sb + 1):
-                        for c in ctx.classes(sc):
-                            yield a, b, c
-
-
-def _delta_pairs(ctx: FamilyContext, total: int):
-    for sa in range(total + 1):
-        for a in ctx.classes(sa):
-            for sb in range(total - sa + 1):
-                for b in ctx.classes(sb):
-                    yield a, b
+def _class_tuples(ctx: FamilyContext, total: int, arity: int):
+    """Every ``arity``-tuple of classes whose sizes sum to at most ``total``,
+    in lexicographic (size, class) order."""
+    if arity == 0:
+        yield ()
+        return
+    for size in range(total + 1):
+        for cls in ctx.classes(size):
+            for rest in _class_tuples(ctx, total - size, arity - 1):
+                yield (cls, *rest)
 
 
 def check_product_associativity(ctx: FamilyContext, total: int) -> CheckResult:
     failures: list[Any] = []
     checked = 0
-    for a, b, c in _delta_triples(ctx, total):
+    for a, b, c in _class_tuples(ctx, total, 3):
         checked += 1
         left = product(product(delta(a), delta(b), ctx), delta(c), ctx)
         right = product(delta(a), product(delta(b), delta(c), ctx), ctx)
@@ -456,7 +450,7 @@ def check_bialgebra(ctx: FamilyContext, total: int) -> CheckResult:
     """Delta(f * g) = Delta(f) Delta(g) on delta pairs."""
     failures: list[Any] = []
     checked = 0
-    for a, b in _delta_pairs(ctx, total):
+    for a, b in _class_tuples(ctx, total, 2):
         checked += 1
         lhs = coproduct(product(delta(a), delta(b), ctx), ctx)
         rhs = tensor_product(coproduct(delta(a), ctx), coproduct(delta(b), ctx), ctx)
@@ -507,7 +501,7 @@ def check_grading(ctx: FamilyContext, total: int) -> CheckResult:
     """Products and coproducts respect the order grading."""
     failures: list[Any] = []
     checked = 0
-    for a, b in _delta_pairs(ctx, total):
+    for a, b in _class_tuples(ctx, total, 2):
         checked += 1
         prod = product(delta(a), delta(b), ctx)
         if any(cls.size != a.size + b.size for cls in prod.coeffs):
@@ -525,7 +519,7 @@ def check_structure_constants(ctx: FamilyContext, total: int) -> CheckResult:
     """Convolution coefficients equal the independent N(P,Q;R) counts."""
     failures: list[Any] = []
     checked = 0
-    for a, b in _delta_pairs(ctx, total):
+    for a, b in _class_tuples(ctx, total, 2):
         prod = product(delta(a), delta(b), ctx)
         for r_cls in ctx.classes(a.size + b.size):
             checked += 1
@@ -586,7 +580,7 @@ def check_interval_ideal_dictionary(ctx: FamilyContext, total: int) -> CheckResu
     """Interval convolution equals the specialized ideal form everywhere."""
     failures: list[Any] = []
     checked = 0
-    for a, b in _delta_pairs(ctx, total):
+    for a, b in _class_tuples(ctx, total, 2):
         fa = phi(delta(a), ctx)
         fb = phi(delta(b), ctx)
         for size in range(total + 1):
@@ -603,7 +597,7 @@ def check_interval_ideal_dictionary(ctx: FamilyContext, total: int) -> CheckResu
 def check_schmitt_associativity(ctx: FamilyContext, total: int) -> CheckResult:
     failures: list[Any] = []
     checked = 0
-    for a, b, c in _delta_triples(ctx, total):
+    for a, b, c in _class_tuples(ctx, total, 3):
         checked += 1
         fa, fb, fc = (phi(delta(x), ctx) for x in (a, b, c))
         left = schmitt_product_element(schmitt_product_element(fa, fb, ctx), fc, ctx)
@@ -621,7 +615,7 @@ def check_phi_intertwines(ctx: FamilyContext, total: int) -> CheckResult:
     checked = 0
     if phi(unit(ctx), ctx) != schmitt_unit(ctx):
         failures.append({"axiom": "unit"})
-    for a, b in _delta_pairs(ctx, total):
+    for a, b in _class_tuples(ctx, total, 2):
         checked += 1
         hall_side = phi(product(delta(a), delta(b), ctx), ctx)
         schmitt_side = schmitt_product_element(phi(delta(a), ctx), phi(delta(b), ctx), ctx)

@@ -14,6 +14,7 @@ from inccat.families import (
 )
 from inccat.ideals import order_ideals
 from inccat.posets import (
+    MapMode,
     Poset,
     canonical_form,
     from_covers,
@@ -238,6 +239,19 @@ class TestColoredForests:
 
     def test_closure(self):
         assert verify_closure(colored_forests_up_to(4, 2)).ok
+
+    def test_root_max_dualization(self):
+        fmin = colored_forests_up_to(4, 2)
+        fmax = colored_forests_up_to(4, 2, root_max=True)
+        assert fmax.name == "cforests:2:root-max"
+        for size in range(5):
+            assert len(fmax.classes(size)) == len(fmin.classes(size))
+            dual_keys = set()
+            for cls in fmax.classes(size):
+                rep = cls.representative
+                assert fmax.contains(rep)
+                dual_keys.add(canonical_form(rep.dual(), MapMode.COLOR_PRESERVING_ISOS))
+            assert dual_keys == {cls.key for cls in fmin.classes(size)}
 
 
 class TestFamilySpec:

@@ -21,8 +21,10 @@ from inccat.hall import (
     product,
     reduced_coproduct,
     structure_constant,
+    tensor_product,
     unit,
 )
+from inccat.linalg import smith_diagonal
 from inccat.posets import is_connected, relabel_by
 
 
@@ -211,6 +213,21 @@ class TestCoproduct:
         assert reduced_coproduct(delta(ac2), fin) == TensorElement({(dot, dot): 1})
 
 
+class TestTensorProduct:
+    def test_colliding_terms_sum(self, fin):
+        # (dot (x) 1)(1 (x) dot) and (1 (x) dot)(dot (x) 1) both land on dot (x) dot.
+        e, dot = fin.empty_class, fin.classes(1)[0]
+        t1 = TensorElement({(dot, e): 2, (e, dot): 3})
+        t2 = TensorElement({(dot, e): 5, (e, dot): 7})
+        square = product(delta(dot), delta(dot), fin)
+        expected = (
+            TensorElement({(cls, e): 10 * v for cls, v in square.items()})
+            + TensorElement({(dot, dot): 2 * 7 + 3 * 5})
+            + TensorElement({(e, cls): 21 * v for cls, v in square.items()})
+        )
+        assert tensor_product(t1, t2, fin) == expected
+
+
 class TestCounit:
     def test_values(self, fin):
         assert counit(unit(fin)) == 1
@@ -302,6 +319,34 @@ class TestK0:
             dot_vec = pres.class_vector(dot)
             relation = [a - cls.size * b for a, b in zip(vec, dot_vec)]
             assert pres.relations_contain(relation)
+
+    def test_point_is_not_a_relation(self):
+        fin = fin_up_to(4)
+        pres = k0_truncated(fin, 4)
+        assert not pres.relations_contain(pres.class_vector(fin.classes(1)[0]))
+
+    def test_color_difference_is_not_a_relation(self):
+        csets = colored_sets_up_to(2, 2)
+        pres = k0_truncated(csets, 2)
+        red, blue = csets.classes(1)
+        vec = [a - b for a, b in zip(pres.class_vector(red), pres.class_vector(blue))]
+        assert not pres.relations_contain(vec)
+
+    def test_membership_matches_two_smith_forms(self):
+        # Oracle: compare the invariant factors before and after appending v.
+        fin = fin_up_to(3)
+        pres = k0_truncated(fin, 3)
+        rows = [list(r) for r in pres.relations]
+        base = smith_diagonal(rows)
+        vectors = [pres.class_vector(cls) for cls in pres.generators]
+        answers = set()
+        for i, u in enumerate(vectors):
+            for w in vectors[i + 1:]:
+                v = [a - b for a, b in zip(u, w)]
+                expected = base == smith_diagonal(rows + [v])
+                assert pres.relations_contain(v) == expected
+                answers.add(expected)
+        assert answers == {True, False}
 
     def test_colored_sets_rank_k(self):
         for k in (2, 3):
