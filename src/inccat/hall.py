@@ -356,7 +356,11 @@ class K0Presentation:
     each representative (including the degenerate ones, which pin the
     empty class to zero).  The Smith normal form of the relation matrix
     gives the group: free of rank (#generators - #nonzero invariant
-    factors) times the cyclic torsion factors > 1.
+    factors) times the cyclic torsion factors > 1.  Each row has at most
+    three nonzero entries, nearly all +-1, so ``linalg.smith_diagonal``
+    reduces it by sparse unit pivots.  No built-in family leaves a residual
+    block at the sizes tried (fin:6, sets:6, csets:3 at 5, forests:7,
+    cforests:2 at 5), and every invariant factor is 1.
     """
 
     def __init__(self, ctx: FamilyContext, cutoff: int):

@@ -42,16 +42,39 @@ def poset_to_doc(p: Poset) -> dict[str, Any]:
     return doc
 
 
-def poset_from_doc(doc: dict[str, Any]) -> Poset:
-    try:
-        elements = doc["elements"]
-        covers = [tuple(pair) for pair in doc.get("covers", [])]
-    except (KeyError, TypeError) as exc:
-        raise PosetError(f"malformed poset document: {exc}") from exc
+def _is_list_of(value: Any, item_ok) -> bool:
+    return isinstance(value, (list, tuple)) and all(item_ok(item) for item in value)
+
+
+def _is_label(value: Any) -> bool:
+    return isinstance(value, str)
+
+
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_poset_doc(doc: Any) -> None:
+    """Raise PosetError unless the document has the poset shape."""
+    if not isinstance(doc, dict) or "elements" not in doc:
+        raise PosetError("malformed poset document: expected an object with 'elements'")
+    if not _is_list_of(doc["elements"], _is_label):
+        raise PosetError("malformed poset document: 'elements' must be a list of strings")
+    if not _is_list_of(
+        doc.get("covers", []), lambda pair: _is_list_of(pair, _is_label) and len(pair) == 2
+    ):
+        raise PosetError("malformed poset document: 'covers' must be a list of label pairs")
     colors = doc.get("colors")
-    if colors is not None:
-        colors = {str(k): int(v) for k, v in colors.items()}
-    return from_covers([str(e) for e in elements], covers, colors)
+    if colors is not None and not (
+        isinstance(colors, dict) and all(_is_int(v) for v in colors.values())
+    ):
+        raise PosetError("malformed poset document: 'colors' must map labels to integers")
+
+
+def poset_from_doc(doc: dict[str, Any]) -> Poset:
+    _check_poset_doc(doc)
+    covers = [tuple(pair) for pair in doc.get("covers", [])]
+    return from_covers(doc["elements"], covers, doc.get("colors"))
 
 
 def load_poset(path: str) -> Poset:
@@ -78,17 +101,30 @@ def morphism_to_doc(m: Morphism) -> dict[str, Any]:
     }
 
 
+def _check_morphism_doc(doc: Any) -> None:
+    """Raise PosetError unless the document has the morphism shape.
+
+    The embedded source and target are checked by ``poset_from_doc``.
+    """
+    if not isinstance(doc, dict) or not {"source", "target", "I1", "I2", "f"} <= doc.keys():
+        raise PosetError(
+            "malformed morphism document: expected an object with "
+            "'source', 'target', 'I1', 'I2' and 'f'"
+        )
+    for key in ("I1", "I2"):
+        if not _is_list_of(doc[key], _is_label):
+            raise PosetError(f"malformed morphism document: {key!r} must be a list of labels")
+    if not (isinstance(doc["f"], dict) and all(_is_label(v) for v in doc["f"].values())):
+        raise PosetError("malformed morphism document: 'f' must map labels to labels")
+
+
 def morphism_from_doc(doc: dict[str, Any], mode: MapMode = MapMode.ALL_POSET_ISOS) -> Morphism:
-    try:
-        source = poset_from_doc(doc["source"])
-        target = poset_from_doc(doc["target"])
-        i1_labels = [str(x) for x in doc["I1"]]
-        i2_labels = [str(x) for x in doc["I2"]]
-        fmap_labels = {str(k): str(v) for k, v in doc["f"].items()}
-    except (KeyError, TypeError) as exc:
-        raise PosetError(f"malformed morphism document: {exc}") from exc
-    i1 = _labels_to_mask(source, i1_labels, "I1")
-    i2 = _labels_to_mask(target, i2_labels, "I2")
+    _check_morphism_doc(doc)
+    source = poset_from_doc(doc["source"])
+    target = poset_from_doc(doc["target"])
+    fmap_labels = doc["f"]
+    i1 = _labels_to_mask(source, doc["I1"], "I1")
+    i2 = _labels_to_mask(target, doc["I2"], "I2")
     tgt_index = {lab: i for i, lab in enumerate(target.labels)}
     fmap = []
     for i in bits(source.full_mask & ~i1):
@@ -114,7 +150,13 @@ def fraction_to_str(value: Fraction) -> str:
 
 
 def str_to_fraction(text: str) -> Fraction:
-    return Fraction(text)
+    """Parse a rational string such as "p/q"; anything else raises IncCatError."""
+    if isinstance(text, str):
+        try:
+            return Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise IncCatError(f"not a rational number: {text!r}")
 
 
 def ordered_hall_items(f: HallElement) -> list:
@@ -127,6 +169,8 @@ def hall_element_to_doc(f: HallElement) -> dict[str, str]:
 
 
 def hall_element_from_doc(doc: dict[str, str], ctx: FamilyContext) -> HallElement:
+    if not isinstance(doc, dict):
+        raise IncCatError("malformed Hall element document: expected an object")
     by_key = {cls.hex_key: cls for cls in ctx.all_classes()}
     coeffs = {}
     for hex_key, text in doc.items():

@@ -203,6 +203,35 @@ class TestErrors:
         path.write_text("{not json")
         assert main(["ideals", str(path)]) == 2
 
+    @pytest.mark.parametrize(
+        "command, doc",
+        [
+            ("ideals", {"elements": 5}),
+            ("ideals", {"elements": ["a", "b", "c"], "covers": [["a", "b", "c"]]}),
+            ("ideals", {"elements": ["a"], "colors": [1]}),
+            ("ideals", {"elements": ["a"], "colors": {"a": "x"}}),
+            ("ideals", {"elements": [["x"]]}),
+            ("ideals", ["a", "b"]),
+            ("kernel", {
+                "source": {"elements": ["a", "b"], "covers": [["a", "b"]]},
+                "target": {"elements": ["b"]},
+                "I1": ["a"], "I2": ["b"], "f": ["b"],
+            }),
+            ("kernel", {
+                "source": {"elements": ["a"]}, "target": {"elements": ["a"]},
+                "I1": "a", "I2": [], "f": {},
+            }),
+            ("kernel", {"source": {"elements": ["a"]}, "target": {"elements": 5},
+                        "I1": [], "I2": [], "f": {}}),
+        ],
+    )
+    def test_malformed_document_exit_2(self, tmp_path, capsys, command, doc):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        assert main([command, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: malformed")
+
     def test_non_member_exit_2(self, files, capsys):
         assert (
             main(

@@ -33,6 +33,26 @@ class TestPosetDocs:
         with pytest.raises(PosetError):
             jsonio.poset_from_doc({"elements": ["a"], "covers": [["a", "z"]]})
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            None,
+            {"elements": 5},
+            {"elements": [["x"]]},
+            {"elements": [1]},
+            {"elements": ["a", "b"], "covers": [["a"]]},
+            {"elements": ["a", "b"], "covers": [["a", "b", "a"]]},
+            {"elements": ["a", "b"], "covers": "ab"},
+            {"elements": ["a"], "colors": [1]},
+            {"elements": ["a"], "colors": {"a": "x"}},
+            {"elements": ["a"], "colors": {"a": True}},
+            {"elements": ["a"], "colors": {"a": 1.0}},
+        ],
+    )
+    def test_wrong_shape_rejected(self, doc):
+        with pytest.raises(PosetError):
+            jsonio.poset_from_doc(doc)
+
 
 class TestMorphismDocs:
     def test_roundtrip_all_morphisms(self, dot, chain2, antichain2):
@@ -93,6 +113,25 @@ class TestHallDocs:
         fin = fin_up_to(2)
         with pytest.raises(IncCatError):
             jsonio.hall_element_from_doc({"deadbeef": "1"}, fin)
+
+    @pytest.mark.parametrize("text", ["x", "1/0", "0/0", "", "1/2/3", None, 3])
+    def test_bad_rational_rejected(self, text):
+        with pytest.raises(IncCatError):
+            jsonio.str_to_fraction(text)
+
+    def test_rational_parsed(self):
+        from fractions import Fraction
+
+        assert jsonio.str_to_fraction("-6/4") == Fraction(-3, 2)
+        assert jsonio.str_to_fraction("5") == 5
+
+    def test_bad_coefficient_rejected(self):
+        fin = fin_up_to(2)
+        doc = {fin.classes(1)[0].hex_key: "1/0"}
+        with pytest.raises(IncCatError):
+            jsonio.hall_element_from_doc(doc, fin)
+        with pytest.raises(IncCatError):
+            jsonio.hall_element_from_doc(["1"], fin)
 
     def test_deterministic_dumps(self):
         payload = {"b": 1, "a": [2, 3]}
