@@ -24,11 +24,11 @@ from .category import (
     kernel,
     short_exact_sequences,
 )
-from .errors import IncCatError
+from .errors import FamilyError, IncCatError
 from .families import FamilyContext, IsoClass, family_from_spec
-from .hall import delta, k0_truncated, primitive_basis, product, coproduct, antipode, structure_constant
+from .hall import delta, k0_truncated, primitive_basis, product, coproduct, antipode, split_index
 from .ideals import order_ideals
-from .posets import MapMode, bits
+from .posets import MapMode, bits, size_cap
 from .verification import run_verification
 
 
@@ -169,15 +169,11 @@ def cmd_constants(args: argparse.Namespace) -> int:
     ctx = _family(args)
     if args.size > ctx.max_size:
         raise IncCatError(f"--size {args.size} exceeds --max-size {ctx.max_size}")
-    rows = []
-    for r_cls in ctx.classes(args.size):
-        for a_size in range(args.size + 1):
-            for p_cls in ctx.classes(a_size):
-                for q_cls in ctx.classes(args.size - a_size):
-                    n = structure_constant(p_cls, q_cls, r_cls)
-                    if n:
-                        rows.append((p_cls.hex_key, q_cls.hex_key, r_cls.hex_key, n))
-    rows.sort()
+    rows = sorted(
+        (p_cls.hex_key, q_cls.hex_key, r_cls.hex_key, n)
+        for (p_cls, q_cls), entries in split_index(ctx, args.size).items()
+        for r_cls, n in entries
+    )
     _print("P\tQ\tR\tN")
     for p_hex, q_hex, r_hex, n in rows:
         _print(f"{p_hex}\t{q_hex}\t{r_hex}\t{n}")
@@ -234,6 +230,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.quick:
         assoc, universal, hopf, schmitt, oracle = 2, 2, 3, 3, 3
     elif args.deep is not None:
+        if args.deep < 0:
+            raise FamilyError(f"--deep must be nonnegative, got {args.deep}")
         assoc = universal = hopf = schmitt = oracle = args.deep
     else:
         assoc = 4 if ctx.name.startswith(("forests", "cforests")) else 3
@@ -383,6 +381,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        size_cap()  # a bad INCCAT_MAX_POSET_SIZE fails here, for every command
         return args.func(args)
     except IncCatError as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -14,10 +14,10 @@ Everything is exact: coefficients are ``fractions.Fraction``.  The
 algebra is graded by poset size and connected in degree zero, so the
 counit is evaluation at the empty class and the antipode is the standard
 graded recursion over the reduced coproduct.  A family context supplies
-the classes of each degree; the product inverts their ideal splits into
-an index from (sub, quotient) class pairs to the classes they assemble,
-so it visits only the classes its factors can reach.  Computations that
-would need classes beyond the context's cutoff raise ``TruncationError``.
+the classes of each degree; ``split_index`` inverts their ideal splits
+into an index from (sub, quotient) class pairs to the classes they
+assemble, read by ``product``, ``K0Presentation`` and ``inccat constants``.
+Computations beyond the context's cutoff raise ``TruncationError``.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import linalg
-from .category import CategoryObject, short_exact_sequences
 from .errors import FamilyError, IncCatError, TruncationError
 from .families import FamilyContext, IsoClass
 from .ideals import order_ideals
@@ -131,12 +130,12 @@ def unit(ctx: FamilyContext) -> HallElement:
     return delta(ctx.empty_class)
 
 
-def _split_index(ctx: FamilyContext, total: int) -> dict:
+def split_index(ctx: FamilyContext, total: int) -> dict:
     """(class of X_I, class of X_{R\\I}) -> ((R, number of such I), ...).
 
-    Inverts the ideal splits of every class R of size ``total`` so that a
-    product looks up the classes a pair of factors can land on instead of
-    scanning the whole degree.  Computed once per degree and context.
+    Inverts the ideal splits of every class R of size ``total``, so the
+    entry for (P, Q) lists each R with N(P,Q;R) > 0: a product visits only
+    the classes its factors can reach.  Computed once per degree and context.
     """
     table = ctx.memo.setdefault("splits", {})
     hit = table.get(total)
@@ -173,7 +172,7 @@ def product(f: HallElement, g: HallElement, ctx: FamilyContext) -> HallElement:
                 f"product needs classes of size {total}, family {ctx.name!r} "
                 f"is truncated at {ctx.max_size}"
             )
-        indexes[total] = _split_index(ctx, total)
+        indexes[total] = split_index(ctx, total)
     out: dict[IsoClass, Fraction] = {}
     for p_cls, x in f.coeffs.items():
         for q_cls, y in g.coeffs.items():
@@ -352,10 +351,11 @@ class K0Presentation:
     """A truncated presentation of the Grothendieck group.
 
     Generators are all iso-classes up to the cutoff; one relation
-    [X_I] + [X_{P \\ I}] - [X_P] per canonical short exact sequence of
-    each representative (including the degenerate ones, which pin the
-    empty class to zero).  The Smith normal form of the relation matrix
-    gives the group: free of rank (#generators - #nonzero invariant
+    [X_I] + [X_{P \\ I}] - [X_P] per ideal I of each representative, read
+    off ``split_index`` (the degenerate ideals pin the empty class to zero);
+    ``category.ses-classification`` verifies that these ideals match the
+    short exact sequences one to one.  The Smith normal form of the relation
+    matrix gives the group: free of rank (#generators - #nonzero invariant
     factors) times the cyclic torsion factors > 1.  Each row has at most
     three nonzero entries, nearly all +-1, so ``linalg.smith_diagonal``
     reduces it by sparse unit pivots.  No built-in family leaves a residual
@@ -376,16 +376,16 @@ class K0Presentation:
             cls for size in range(cutoff + 1) for cls in ctx.classes(size)
         )
         index = {cls.key: i for i, cls in enumerate(self.generators)}
-        rows: list[list[int]] = []
-        for cls in self.generators:
-            x = CategoryObject(cls.representative)
-            for ses in short_exact_sequences(x, ctx.mode):
-                row = [0] * len(self.generators)
-                row[index[ctx.class_of(ses.sub.poset).key]] += 1
-                row[index[ctx.class_of(ses.quotient.poset).key]] += 1
-                row[index[cls.key]] -= 1
-                rows.append(row)
-        self.relations: tuple[tuple[int, ...], ...] = tuple(tuple(r) for r in rows)
+        rows: list[tuple[int, ...]] = []
+        for total in range(cutoff + 1):
+            for (p_cls, q_cls), entries in split_index(ctx, total).items():
+                for r_cls, n in entries:
+                    row = [0] * len(self.generators)
+                    row[index[p_cls.key]] += 1
+                    row[index[q_cls.key]] += 1
+                    row[index[r_cls.key]] -= 1
+                    rows.extend([tuple(row)] * n)
+        self.relations: tuple[tuple[int, ...], ...] = tuple(rows)
         self.smith_diagonal: tuple[int, ...] = linalg.smith_diagonal(rows)
         self._index = index
 
@@ -415,5 +415,5 @@ class K0Presentation:
 
 
 def k0_truncated(ctx: FamilyContext, cutoff: int) -> K0Presentation:
-    """Generators, SES relations and Smith normal form at the cutoff."""
+    """Generators, ideal-split relations and Smith normal form at the cutoff."""
     return K0Presentation(ctx, cutoff)

@@ -125,12 +125,12 @@ def morphism_from_doc(doc: dict[str, Any], mode: MapMode = MapMode.ALL_POSET_ISO
     fmap_labels = doc["f"]
     i1 = _labels_to_mask(source, doc["I1"], "I1")
     i2 = _labels_to_mask(target, doc["I2"], "I2")
+    domain = [source.labels[i] for i in bits(source.full_mask & ~i1)]
+    if fmap_labels.keys() != set(domain):
+        raise PosetError(f"malformed morphism document: 'f' must map exactly P1 \\ I1 = {domain}")
     tgt_index = {lab: i for i, lab in enumerate(target.labels)}
     fmap = []
-    for i in bits(source.full_mask & ~i1):
-        lab = source.labels[i]
-        if lab not in fmap_labels:
-            raise PosetError(f"f is missing the image of {lab!r}")
+    for lab in domain:
         image_label = fmap_labels[lab]
         if image_label not in tgt_index:
             raise PosetError(f"f references unknown target label {image_label!r}")

@@ -87,8 +87,8 @@ class Poset:
 
     def __post_init__(self) -> None:
         n = len(self.leq)
-        cap = size_cap()
-        if n > cap:
+        # A size-0 poset fits any cap, so EMPTY_POSET reads no env at import.
+        if n and n > (cap := size_cap()):
             raise SizeCapError(f"poset size {n} exceeds the cap {cap}")
         if self.labels is None:
             object.__setattr__(self, "labels", tuple(str(i) for i in range(n)))

@@ -1,11 +1,17 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from inccat.cli import main
+from inccat.families import family_from_spec
+from inccat.hall import structure_constant
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture()
@@ -121,6 +127,24 @@ class TestHallCommands:
         assert lines[0] == "P\tQ\tR\tN"
         assert all(len(line.split("\t")) == 4 for line in lines[1:])
 
+    @pytest.mark.parametrize("spec", ["fin", "csets:2"])
+    @pytest.mark.parametrize("size", range(5))
+    def test_constants_match_structure_constant(self, spec, size, capsys):
+        # Oracle, kept apart from split_index on purpose: structure_constant
+        # (isomorphism search, no canonical keys) over every class triple.
+        ctx = family_from_spec(spec, 4)
+        expected = sorted(
+            (p.hex_key, q.hex_key, r.hex_key, n)
+            for r in ctx.classes(size)
+            for a in range(size + 1)
+            for p in ctx.classes(a)
+            for q in ctx.classes(size - a)
+            if (n := structure_constant(p, q, r))
+        )
+        code, out = run(capsys, "constants", "--family", spec, "--max-size", 4, "--size", size)
+        assert code == 0
+        assert out.splitlines() == ["P\tQ\tR\tN"] + ["\t".join(map(str, row)) for row in expected]
+
     def test_primitives(self, files, capsys):
         code, out = run(
             capsys, "primitives", "--family", "fin", "--max-size", "4", "--degree", "2"
@@ -223,6 +247,16 @@ class TestErrors:
             }),
             ("kernel", {"source": {"elements": ["a"]}, "target": {"elements": 5},
                         "I1": [], "I2": [], "f": {}}),
+            ("kernel", {
+                "source": {"elements": ["a", "b"], "covers": [["a", "b"]]},
+                "target": {"elements": ["x"]},
+                "I1": ["a"], "I2": ["x"], "f": {"a": "x", "b": "x"},
+            }),
+            ("kernel", {
+                "source": {"elements": ["a", "b"], "covers": [["a", "b"]]},
+                "target": {"elements": ["x"]},
+                "I1": ["a"], "I2": ["x"], "f": {"b": "x", "zzz": "x"},
+            }),
         ],
     )
     def test_malformed_document_exit_2(self, tmp_path, capsys, command, doc):
@@ -250,8 +284,21 @@ class TestErrors:
             ["k0", "--family", "fin", "--max-size", "2", "--cutoff", "-1"],
             ["k0", "--family", "fin", "--max-size", "-1", "--cutoff", "-1"],
             ["verify", "--family", "sets", "--max-size", "-1"],
+            ["verify", "--family", "sets", "--max-size", "2", "--deep", "-1"],
         ],
     )
     def test_negative_size_exit_2(self, argv, capsys):
         code, out = run(capsys, *argv)
         assert code == 2 and out == ""
+
+    @pytest.mark.parametrize("value", ["abc", "-1"])
+    def test_bad_size_cap_env_exit_2(self, value, files):
+        env = dict(os.environ, INCCAT_MAX_POSET_SIZE=value)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        assert subprocess.run([sys.executable, "-c", "import inccat"], env=env).returncode == 0
+        proc = subprocess.run(
+            [sys.executable, "-m", "inccat.cli", "ideals", str(files / "chain2.json")],
+            env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == f"error: invalid INCCAT_MAX_POSET_SIZE={value!r}\n"

@@ -1,12 +1,20 @@
 import math
+from collections import Counter
 from fractions import Fraction
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+from inccat.category import CategoryObject, short_exact_sequences
 from inccat.errors import FamilyError, TruncationError
-from inccat.families import colored_sets_up_to, fin_up_to, forests_up_to, sets_up_to
+from inccat.families import (
+    colored_sets_up_to,
+    family_from_spec,
+    fin_up_to,
+    forests_up_to,
+    sets_up_to,
+)
 from inccat.hall import (
     HallElement,
     TensorElement,
@@ -368,6 +376,25 @@ class TestK0:
         assert pres.relations
         for row in pres.relations:
             assert sum(c * cls.size for c, cls in zip(row, pres.generators)) == 0
+
+    @pytest.mark.parametrize("spec", ["fin", "forests", "csets:2", "cforests:2"])
+    def test_relations_match_short_exact_sequences(self, spec):
+        # Oracle, kept apart from split_index on purpose: one row per
+        # canonical short exact sequence of each generator, with the classes
+        # of its ends read off the sequence's own objects.
+        ctx = family_from_spec(spec, 4)
+        for cutoff in range(5):
+            pres = k0_truncated(ctx, cutoff)
+            expected = Counter()
+            for cls in pres.generators:
+                for ses in short_exact_sequences(CategoryObject(cls.representative), ctx.mode):
+                    ends = zip(
+                        pres.class_vector(ctx.class_of(ses.sub.poset)),
+                        pres.class_vector(ctx.class_of(ses.quotient.poset)),
+                        pres.class_vector(cls),
+                    )
+                    expected[tuple(a + b - c for a, b, c in ends)] += 1
+            assert Counter(pres.relations) == expected, (spec, cutoff)
 
     def test_truncation(self):
         with pytest.raises(TruncationError):
