@@ -273,9 +273,6 @@ class ShortExactSequence:
         ms = self.morphisms
         if ms[0].source.size != 0 or ms[-1].target.size != 0:
             raise PosetError("sequence must start and end at the null object")
-        for prev, nxt in zip(ms, ms[1:]):
-            if prev.target != nxt.source:
-                raise CompositionError("sequence is not composable")
         if not is_exact(list(ms)):
             raise PosetError("sequence is not exact")
 

@@ -29,7 +29,7 @@ from .families import FamilyContext, IsoClass, family_from_spec
 from .hall import delta, k0_truncated, primitive_basis, product, coproduct, antipode, split_index
 from .ideals import order_ideals
 from .posets import MapMode, bits, size_cap
-from .verification import run_verification
+from .verification import run_verification, schmitt_suite
 
 
 def _family(args: argparse.Namespace) -> FamilyContext:
@@ -245,8 +245,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
     }
     _print(f"verify family={ctx.name} max-size={n} seed={args.seed} bounds={bounds}")
     if args.schmitt:
-        from .verification import schmitt_suite
-
         results = schmitt_suite(ctx, bounds["schmitt"], seed=args.seed)
     else:
         results = run_verification(

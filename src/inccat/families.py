@@ -14,13 +14,15 @@ incidence category admits.  Built-ins:
 
 Contexts carry every iso-class representative of each size up to a
 cutoff, generated by one-point extensions deduplicated by canonical
-form, plus a membership predicate.  Classes are indexed by canonical
-key, so classifying an arbitrary member poset is a dictionary lookup.
+form.  Classes are indexed by canonical key, and that index is the
+family's only definition: a poset within the cutoff is a member exactly
+when its canonical key is in the index, so classifying it is a
+dictionary lookup.
 
-A :class:`FamilyContext` is plain data (name, map mode, class index,
-membership predicate): a third-party family closed under disjoint
-unions and convex subposets can be plugged into every algebra operation
-by constructing one with its own generator and predicate.
+A :class:`FamilyContext` is plain data (name, map mode, class index): a
+third-party family closed under disjoint unions and convex subposets
+can be plugged into every algebra operation by generating its classes
+and indexing them; it needs a generator and nothing else.
 """
 
 from __future__ import annotations
@@ -87,6 +89,11 @@ def _color_vector(p: Poset, num_colors: int) -> tuple[int, ...]:
 class FamilyContext:
     """A family truncated at ``max_size``, with its full class index.
 
+    Membership is decided by the index alone: a poset of size at most
+    ``max_size`` belongs to the family exactly when its canonical key is
+    one of the generated classes.  :func:`verify_closure` checks that
+    the index is closed under convex subposets and disjoint unions.
+
     ``memo`` holds the tables of results that depend on the context (the
     Hall split index per degree, antipodes), one named sub-table each;
     they live and die with the context.
@@ -97,7 +104,6 @@ class FamilyContext:
     num_colors: int
     max_size: int
     classes_by_size: tuple[tuple[IsoClass, ...], ...]
-    member: Callable[[Poset], bool] = field(repr=False)
     _by_key: dict[bytes, IsoClass] = field(repr=False)
     memo: dict[str, dict] = field(default_factory=dict, init=False, repr=False)
 
@@ -118,7 +124,7 @@ class FamilyContext:
         return self.classes_by_size[0][0]
 
     def contains(self, p: Poset) -> bool:
-        return p.size <= self.max_size and self.member(p)
+        return p.size <= self.max_size and canonical_form(p, self.mode) in self._by_key
 
     def class_of(self, p: Poset) -> IsoClass:
         """Classify a member poset; raises for non-members or oversize input."""
@@ -127,15 +133,9 @@ class FamilyContext:
                 f"family {self.name!r} is truncated at size {self.max_size}, "
                 f"got a poset of size {p.size}"
             )
-        if not self.member(p):
-            raise FamilyError(f"poset is not a member of family {self.name!r}")
-        key = canonical_form(p, self.mode)
-        cls = self._by_key.get(key)
+        cls = self._by_key.get(canonical_form(p, self.mode))
         if cls is None:
-            raise FamilyError(
-                f"internal error: member poset of size {p.size} missing from the "
-                f"class index of {self.name!r}"
-            )
+            raise FamilyError(f"poset is not a member of family {self.name!r}")
         return cls
 
 
@@ -182,7 +182,6 @@ def _family(
     num_colors: int,
     max_size: int,
     extensions: Callable[[Poset], list[int]],
-    member: Callable[[Poset], bool],
     dual: bool = False,
 ) -> FamilyContext:
     """Generate the classes, dualise them if ``dual``, and index them."""
@@ -201,33 +200,7 @@ def _family(
             group.append(cls)
             by_key[key] = cls
         classes_by_size.append(tuple(group))
-    return FamilyContext(name, mode, num_colors, max_size, tuple(classes_by_size), member, by_key)
-
-
-def _is_antichain(p: Poset) -> bool:
-    return all(row == 1 << i for i, row in enumerate(p.leq))
-
-
-def _max_lower_covers(p: Poset) -> int:
-    counts = [0] * p.size
-    for _, hi in p.covers:
-        counts[hi] += 1
-    return max(counts, default=0)
-
-
-def _is_forest(p: Poset) -> bool:
-    """Each element covers at most one element: Hasse diagram a rooted
-    forest with roots minimal (every principal down-set is then a chain,
-    and each component has a unique minimal element)."""
-    return _max_lower_covers(p) <= 1
-
-
-def _is_forest_root_max(p: Poset) -> bool:
-    return _max_lower_covers(p.dual()) <= 1
-
-
-def _colors_below(p: Poset, k: int) -> bool:
-    return all(c < k for c in p.colors)
+    return FamilyContext(name, mode, num_colors, max_size, tuple(classes_by_size), by_key)
 
 
 def fin_up_to(n: int) -> FamilyContext:
@@ -238,27 +211,19 @@ def fin_up_to(n: int) -> FamilyContext:
         1,
         n,
         lambda p: list(order_ideals(p).ideals),
-        lambda p: True,
     )
 
 
 def sets_up_to(n: int) -> FamilyContext:
     """Finite sets (antichains): exactly one class per size."""
-    return _family("sets", MapMode.ALL_POSET_ISOS, 1, n, lambda p: [0], _is_antichain)
+    return _family("sets", MapMode.ALL_POSET_ISOS, 1, n, lambda p: [0])
 
 
 def colored_sets_up_to(n: int, k: int) -> FamilyContext:
     """k-colored sets; classes are color-count vectors, maps preserve colors."""
     if k < 1:
         raise FamilyError("need at least one color")
-    return _family(
-        f"csets:{k}",
-        MapMode.COLOR_PRESERVING_ISOS,
-        k,
-        n,
-        lambda p: [0],
-        lambda p: _is_antichain(p) and _colors_below(p, k),
-    )
+    return _family(f"csets:{k}", MapMode.COLOR_PRESERVING_ISOS, k, n, lambda p: [0])
 
 
 def _forest_extensions(p: Poset) -> list[int]:
@@ -274,7 +239,6 @@ def forests_up_to(n: int, root_max: bool = False) -> FamilyContext:
         1,
         n,
         _forest_extensions,
-        _is_forest_root_max if root_max else _is_forest,
         dual=root_max,
     )
 
@@ -283,14 +247,12 @@ def colored_forests_up_to(n: int, k: int, root_max: bool = False) -> FamilyConte
     """k-colored rooted forests with color-preserving isomorphisms."""
     if k < 1:
         raise FamilyError("need at least one color")
-    shape = _is_forest_root_max if root_max else _is_forest
     return _family(
         f"cforests:{k}:root-max" if root_max else f"cforests:{k}",
         MapMode.COLOR_PRESERVING_ISOS,
         k,
         n,
         _forest_extensions,
-        lambda p: shape(p) and _colors_below(p, k),
         dual=root_max,
     )
 
@@ -335,8 +297,10 @@ def verify_closure(ctx: FamilyContext) -> ClosureReport:
     """Convex subposets and disjoint unions of members stay in the family.
 
     Exhaustive over the context's representatives: every convex subset of
-    every representative is classified, and every union of two classes
-    with total size within the cutoff is classified.
+    every generated class, and every union of two generated classes with
+    total size within the cutoff, must itself be a generated class.  This
+    is exactly the closure the algebra relies on when it classifies ideal
+    splits and products through the index.
     """
     violations: list[str] = []
     convex_checked = 0

@@ -33,7 +33,15 @@ from .errors import TruncationError
 from .families import FamilyContext, IsoClass
 from .hall import Combination, HallElement, TensorElement, counit
 from .ideals import interval_to_quotient_lattice, order_ideals, sum_decomposition
-from .posets import Poset, canonical_form, find_isomorphisms, induced_subposet, relabel_by
+from .posets import (
+    EMPTY_POSET,
+    Poset,
+    canonical_form,
+    disjoint_union,
+    find_isomorphisms,
+    induced_subposet,
+    relabel_by,
+)
 
 
 @dataclass(frozen=True)
@@ -254,8 +262,6 @@ def verify_hopf_relation(ctx: FamilyContext, cutoff: int, seed: int = 0) -> Hopf
                 continue
 
             neutrality_checks += 1
-            from .posets import disjoint_union, EMPTY_POSET
-
             with_unit, _, _ = disjoint_union(p, EMPTY_POSET)
             if ctx.class_of(with_unit) != cls:
                 violations.append(f"one-element neutrality failed for {cls.hex_key}")

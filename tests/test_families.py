@@ -67,8 +67,9 @@ def admissible_cut_count(tree):
 
 class TestFin:
     def test_counts(self):
-        fin = fin_up_to(5)
-        assert [len(fin.classes(s)) for s in range(6)] == [1, 1, 2, 5, 16, 63]
+        # OEIS A000112; Brinkmann & McKay, "Posets on up to 16 points" (2002)
+        fin = fin_up_to(7)
+        assert [len(fin.classes(s)) for s in range(8)] == [1, 1, 2, 5, 16, 63, 318, 2045]
 
     def test_counts_against_brute_force(self):
         fin = fin_up_to(4)
@@ -146,6 +147,12 @@ class TestColoredSets:
 
 
 class TestForests:
+    @pytest.mark.parametrize("root_max", [False, True])
+    def test_forest_counts(self, root_max):
+        # rooted forests on n points = rooted trees on n + 1 (OEIS A000081)
+        forests = forests_up_to(7, root_max=root_max)
+        assert [len(forests.classes(s)) for s in range(8)] == [1, 1, 2, 4, 9, 20, 48, 115]
+
     def test_tree_counts(self):
         forests = forests_up_to(5)
         trees = [
@@ -252,6 +259,67 @@ class TestColoredForests:
                 assert fmax.contains(rep)
                 dual_keys.add(canonical_form(rep.dual(), MapMode.COLOR_PRESERVING_ISOS))
             assert dual_keys == {cls.key for cls in fmin.classes(size)}
+
+
+# Shape definitions of the built-in families.  The class index is the only
+# definition the library uses; these predicates are the reference the
+# generators are tested against.
+def _is_antichain(p):
+    return all(row == 1 << i for i, row in enumerate(p.leq))
+
+
+def _max_lower_covers(p):
+    counts = [0] * p.size
+    for _, hi in p.covers:
+        counts[hi] += 1
+    return max(counts, default=0)
+
+
+def _is_forest(p):
+    """Each element covers at most one element: Hasse diagram a rooted
+    forest with roots minimal."""
+    return _max_lower_covers(p) <= 1
+
+
+def _is_forest_root_max(p):
+    return _max_lower_covers(p.dual()) <= 1
+
+
+def _colors_below(p, k):
+    return all(c < k for c in p.colors)
+
+
+class TestIndexMembership:
+    """``contains`` (an index lookup) agrees with each family's definition."""
+
+    def test_uncolored(self):
+        reps = [cls.representative for cls in fin_up_to(5).all_classes()]
+        cases = [
+            (fin_up_to(5), lambda p: True),
+            (sets_up_to(5), _is_antichain),
+            (forests_up_to(5), _is_forest),
+            (forests_up_to(5, root_max=True), _is_forest_root_max),
+        ]
+        for ctx, definition in cases:
+            for p in reps:
+                assert ctx.contains(p) == definition(p), (ctx.name, p.covers)
+
+    def test_colored(self):
+        reps = [cls.representative for cls in fin_up_to(4).all_classes()]
+        colored = [
+            Poset(p.leq, p.labels, colors)
+            for p in reps
+            for colors in iproduct(range(3), repeat=p.size)
+        ]
+        cases = [
+            (colored_sets_up_to(4, 2), _is_antichain),
+            (colored_forests_up_to(4, 2), _is_forest),
+            (colored_forests_up_to(4, 2, root_max=True), _is_forest_root_max),
+        ]
+        for ctx, shape in cases:
+            for p in colored:
+                expected = shape(p) and _colors_below(p, 2)
+                assert ctx.contains(p) == expected, (ctx.name, p.covers, p.colors)
 
 
 class TestFamilySpec:

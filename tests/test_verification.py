@@ -36,6 +36,13 @@ class TestSuitesPass:
         results = run_verification(sets_up_to(4), 2, 2, 3, 3, 3, seed=1)
         assert results and all(r.passed for r in results)
 
+    def test_cancellation_reads_prefix_of_larger_table(self, fin2):
+        # category_suite runs the cancellation check on the associativity
+        # table when its bound is smaller; the result must be the same
+        own = verification._mono_epi_cancellation(verification._hom_tables(fin2, 2), 2)
+        shared = verification._mono_epi_cancellation(verification._hom_tables(fin2, 3), 2)
+        assert own.passed and shared == own
+
 
 class TestFailureDetection:
     """The checkers must notice a broken composition, not pass vacuously."""
