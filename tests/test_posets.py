@@ -1,24 +1,29 @@
+import random
 from itertools import product as iproduct
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from conftest import posets
 from inccat.errors import CycleError, PosetError, SizeCapError
+from inccat.families import fin_up_to
 from inccat.posets import (
     EMPTY_POSET,
     Bijection,
     MapMode,
     Poset,
+    _twin_classes,
     automorphisms,
     canonical_form,
     cartesian_product,
     connected_components,
     disjoint_union,
+    element_signatures,
     find_isomorphisms,
     from_covers,
     induced_subposet,
+    is_connected,
     is_convex,
     is_convex_via_ideals,
     relabel_by,
@@ -26,6 +31,117 @@ from inccat.posets import (
 
 ALL = MapMode.ALL_POSET_ISOS
 COLOR = MapMode.COLOR_PRESERVING_ISOS
+
+ANTI2 = Poset((0b01, 0b10))
+ANTI3 = Poset((0b001, 0b010, 0b100))
+CHAIN2 = Poset((0b11, 0b10))
+CHAIN3 = Poset((0b111, 0b110, 0b100))
+LAMBDA = Poset((0b101, 0b110, 0b100))  # two elements below a third
+
+# (number of elements, cover relations) of the pieces repeated below.
+PIECES = {
+    "chain2": (2, [(0, 1)]),
+    "chain3": (3, [(0, 1), (1, 2)]),
+    "V": (3, [(0, 1), (0, 2)]),
+    "Lambda": (3, [(0, 2), (1, 2)]),
+    "N": (4, [(0, 2), (1, 2), (1, 3)]),
+}
+
+
+def copies(piece, k, rooted):
+    """k disjoint copies of a piece, under a new least element if ``rooted``."""
+    size, covers = PIECES[piece]
+    out = [(a + c * size, b + c * size) for c in range(k) for a, b in covers]
+    n = k * size
+    if rooted:
+        out += [(n, x) for x in range(n) if all(b != x for _, b in out)]
+        n += 1
+    return from_covers([str(i) for i in range(n)], [(str(a), str(b)) for a, b in out])
+
+
+def shuffled(p, seed):
+    perm = list(range(p.size))
+    random.Random(seed).shuffle(perm)
+    return relabel_by(p, perm)
+
+
+def pairwise_twin_classes(p, colors):
+    """Twins by scanning all pairs: incomparable, equal colors, equal relations to the rest."""
+    n = p.size
+    cls = list(range(n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            if cls[j] != j or colors[i] != colors[j] or p.le(i, j) or p.le(j, i):
+                continue
+            outside = ~((1 << i) | (1 << j))
+            if (p.leq[i] & outside) == (p.leq[j] & outside) and (
+                p.downs[i] & outside
+            ) == (p.downs[j] & outside):
+                cls[j] = cls[i]
+    return cls
+
+
+def unpruned_connected_key(p, mode):
+    """Key of a connected poset by the lex-least search with twin pruning only.
+
+    The oracle for orbit pruning, which must not change a byte: the same
+    search and key layout as ``canonical_form``, without automorphisms
+    learnt on the way and with twins found by the pairwise scan.
+    """
+    n = p.size
+    colors = p.colors if mode is COLOR else (0,) * n
+    sigs = element_signatures(p, mode)
+    order_of_sig = {s: r for r, s in enumerate(sorted(set(sigs)))}
+    cells = {}
+    for i in range(n):
+        cells.setdefault(order_of_sig[sigs[i]], []).append(i)
+    pos_cell = [rank for rank in sorted(cells) for _ in cells[rank]]
+    twin = pairwise_twin_classes(p, colors)
+    up = p.leq
+    placed = []
+
+    def dfs(used):
+        depth = len(placed)
+        if depth == n:
+            return ()
+        groups = {}
+        seen_twins = set()
+        for e in cells[pos_cell[depth]]:
+            if (used >> e) & 1 or twin[e] in seen_twins:
+                continue
+            seen_twins.add(twin[e])
+            block = tuple((up[e] >> q) & 1 for q in placed)
+            block += (1,) + tuple((up[q] >> e) & 1 for q in placed)
+            groups.setdefault(block, []).append(e)
+        least = min(groups)
+        best = None
+        for e in groups[least]:
+            placed.append(e)
+            tail = dfs(used | (1 << e))
+            placed.pop()
+            if best is None or tail < best:
+                best = tail
+        return least + best
+
+    matrix = "".join(map(str, dfs(0)))
+    matrix += "0" * (-len(matrix) % 8)
+    key = bytes([0 if mode is ALL else 1, n])
+    if mode is COLOR:
+        cell_color = {rank: colors[cells[rank][0]] for rank in cells}
+        key += bytes(cell_color[rank] for rank in pos_cell)
+    return key + bytes(int(matrix[i:i + 8], 2) for i in range(0, len(matrix), 8))
+
+
+def split_component_keys(key):
+    """Cut the body of a disconnected key into its component keys by their sizes."""
+    body = key[2:]
+    out = []
+    while body:
+        tag, n = body[0], body[1]
+        length = 2 + (n if tag == 1 else 0) + (n * n + 7) // 8
+        out.append(body[:length])
+        body = body[length:]
+    return out
 
 
 def all_labeled_posets(n):
@@ -288,9 +404,78 @@ class TestCanonicalForm:
             cartesian_product(q, p)
         )
 
+    # The examples are the triples whose products cost minutes when one
+    # search spanned all components and only twins were pruned.
     @settings(max_examples=25, deadline=None)
     @given(posets(min_size=1, max_size=3), posets(min_size=1, max_size=3), posets(min_size=1, max_size=3))
+    @example(ANTI3, CHAIN2, ANTI3)
+    @example(ANTI3, ANTI3, CHAIN3)
+    @example(ANTI2, ANTI3, LAMBDA)
+    @example(LAMBDA, LAMBDA, LAMBDA)
     def test_product_associative_up_to_canonical(self, p, q, r):
         left = cartesian_product(cartesian_product(p, q), r)
         right = cartesian_product(p, cartesian_product(q, r))
         assert canonical_form(left) == canonical_form(right)
+
+    @pytest.mark.parametrize("piece, k, rooted", [("chain2", 9, False), ("V", 8, True)])
+    def test_repeated_pieces_relabel_invariance(self, piece, k, rooted):
+        p = copies(piece, k, rooted)
+        assert canonical_form(shuffled(p, k)) == canonical_form(p)
+
+
+class TestCanonicalKeyLayout:
+    """Pruning and the per-component layout against the plain search."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        posets(min_size=1, max_size=9, num_colors=2).filter(is_connected),
+        st.sampled_from([ALL, COLOR]),
+    )
+    def test_connected_key_matches_unpruned_search(self, p, mode):
+        assert canonical_form(p, mode) == unpruned_connected_key(p, mode)
+
+    def test_fin6_connected_keys_match_unpruned_search(self):
+        rng = random.Random(6)
+        checked = 0
+        for cls in fin_up_to(6).all_classes():
+            if not is_connected(cls.representative):
+                continue
+            q = shuffled(cls.representative, rng.random())
+            assert canonical_form(q) == unpruned_connected_key(q, ALL) == cls.key
+            checked += 1
+        assert checked == 1 + 1 + 3 + 10 + 44 + 238  # connected posets, A000608
+
+    # Lambda x 4 and N x 4 under a root are the smallest shapes whose keys
+    # change when a generator is recorded for a larger tail, not just a
+    # tie; each shows it under some labellings only, hence three.
+    @pytest.mark.parametrize("piece", sorted(PIECES))
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_rooted_copies_match_unpruned_search(self, piece, k):
+        for seed in range(3):
+            q = shuffled(copies(piece, k, rooted=True), seed)
+            assert canonical_form(q) == unpruned_connected_key(q, ALL)
+
+    def test_generators_moving_the_prefix_are_not_used(self):
+        # 15 elements, 16 automorphisms, from a random search over rooted
+        # unions of repeated pieces: pruning by every recorded generator,
+        # not only those fixing the placed prefix, changes its key.
+        p = Poset((1, 32767, 260, 40, 17, 32, 64, 129, 256, 512, 1056, 2624, 4160, 24832, 16384))
+        assert len(automorphisms(p)) == 16
+        assert canonical_form(p) == unpruned_connected_key(p, ALL)
+
+    @settings(max_examples=100, deadline=None)
+    @given(posets(max_size=8, num_colors=2), st.sampled_from([ALL, COLOR]))
+    def test_disconnected_key_is_sorted_component_keys(self, p, mode):
+        components = connected_components(p)
+        if len(components) < 2:
+            return
+        key = canonical_form(p, mode)
+        parts = sorted(canonical_form(induced_subposet(p, c)[0], mode) for c in components)
+        assert key[:2] == bytes([(2 if mode is ALL else 3), p.size])
+        assert split_component_keys(key) == parts
+
+    @settings(max_examples=150, deadline=None)
+    @given(posets(max_size=8, num_colors=3))
+    def test_twin_classes_match_pairwise_scan(self, p):
+        for colors in (p.colors, (0,) * p.size):
+            assert _twin_classes(p, colors) == pairwise_twin_classes(p, colors)
