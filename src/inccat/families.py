@@ -95,8 +95,8 @@ class FamilyContext:
     the index is closed under convex subposets and disjoint unions.
 
     ``memo`` holds the tables of results that depend on the context (the
-    Hall split index per degree, antipodes), one named sub-table each;
-    they live and die with the context.
+    Hall split index per degree, antipodes, interval classes), one named
+    sub-table each; they live and die with the context.
     """
 
     name: str

@@ -75,9 +75,25 @@ class IncidenceElement(Combination):
 
 
 def interval_class(p: Poset, lower: int, upper: int, ctx: FamilyContext) -> IntervalClass:
-    """Classify the interval [I, L] of J_P via its convex quotient poset."""
+    """Classify the interval [I, L] of J_P via its convex quotient poset.
+
+    Memoized in ``ctx.memo["intervals"]`` under ``(p.leq, p.colors, lower,
+    upper)``: the class depends on the order and the colors, not on the
+    labels.  Only classes are stored, so an invalid interval raises on
+    every call.  The table is deliberately not the Hall split index,
+    although both classify X_I and X_{P \\ I}: the Schmitt side is the
+    independent oracle for ``hall.product`` and must reach its classes by
+    its own route.
+    """
+    table = ctx.memo.setdefault("intervals", {})
+    memo_key = (p.leq, p.colors, lower, upper)
+    hit = table.get(memo_key)
+    if hit is not None:
+        return hit
     corr = interval_to_quotient_lattice(p, lower, upper)
-    return IntervalClass(ctx.class_of(corr.quotient))
+    result = IntervalClass(ctx.class_of(corr.quotient))
+    table[memo_key] = result
+    return result
 
 
 def phi(f: HallElement, ctx: FamilyContext) -> IncidenceElement:

@@ -16,12 +16,16 @@ costs two table lookups per triple while every composite in sight was
 produced (and validated) by the actual composition routine.
 :func:`category_suite` builds the tables once and shares them: objects
 are ordered by size, so the tables of a smaller bound are a prefix of
-the larger ones, and the cancellation check reads that prefix.
+the larger ones, and the cancellation and universal checks read that
+prefix.
 
-The kernel and cokernel universal properties count factorizations.  For
-each morphism m and test object t, the composites ``ker(m) o v`` (resp.
-``v o coker(m)``) over all v are computed once and tallied by value; the
-number of factorizations of each u is then a lookup in that tally.
+The kernel and cokernel universal properties count factorizations.  The
+vanishing of ``m o u`` (resp. ``u o m``) is read from the table.  ker(m)
+depends only on the source and I1 (coker(m) only on the target and I2),
+so for each object, kernel ideal and test object t the composites
+``ker(m) o v`` (resp. ``v o coker(m)``) over all v are computed once and
+tallied by their index in the table; the number of factorizations of
+each u is then a lookup in that tally.
 """
 
 from __future__ import annotations
@@ -208,26 +212,47 @@ def _associativity(tables: _HomTables, max_size: int) -> CheckResult:
 
 def check_kernel_universal(ctx: FamilyContext, max_size: int) -> CheckResult:
     """Every u with m o u = 0 factors uniquely through ker(m)."""
-    objects = _objects_of(ctx, max_size)
+    return _kernel_universal(_hom_tables(ctx, max_size), max_size)
+
+
+def _kernel_universal(tables: _HomTables, max_size: int) -> CheckResult:
+    """Kernel factorizations over the objects of size <= ``max_size``, a
+    prefix of ``tables.objects``.  ``m o u`` is read from the row of m.
+    ker(m) depends only on the source and I1, so the composites
+    ``ker(m) o v`` are tallied once per (source, I1, test object), by
+    their index among the interned morphisms into the source."""
+    mode = tables.mode
+    objects = [b for b in tables.objects if b.poset.size <= max_size]
     failures: list[Any] = []
     checked = 0
     for a in objects:
+        into_a = tables.into[a]
+        intern_a = tables.intern[a]
+        blocks_a = tables.blocks[a]
+        tallies: dict[tuple[int, int], Counter] = {}
         for b in objects:
-            for m in hom_set(a, b, ctx.mode):
-                ker = kernel(m)
-                for t in objects:
-                    through_ker = Counter(
-                        compose(ker, v) for v in hom_set(t, ker.source, ctx.mode)
-                    )
-                    for u in hom_set(t, a, ctx.mode):
+            into_b = tables.into[b]
+            for m in hom_set(a, b, mode):
+                row_m = tables.rows[m]
+                for k, t in enumerate(objects):
+                    through_ker = tallies.get((m.i1, k))
+                    if through_ker is None:
+                        ker = kernel(m)
+                        through_ker = Counter(
+                            intern_a.get(compose(ker, v))
+                            for v in hom_set(t, ker.source, mode)
+                        )
+                        tallies[(m.i1, k)] = through_ker
+                    lo, hi = blocks_a[k]
+                    for i in range(lo, hi):
                         checked += 1
-                        vanishes = compose(m, u).is_zero
-                        factorizations = through_ker[u]
+                        vanishes = into_b[row_m[i]].is_zero
+                        factorizations = through_ker[i]
                         if factorizations != (1 if vanishes else 0):
                             failures.append(
                                 {
                                     "m": jsonio.morphism_to_doc(m),
-                                    "u": jsonio.morphism_to_doc(u),
+                                    "u": jsonio.morphism_to_doc(into_a[i]),
                                     "factorizations": factorizations,
                                 }
                             )
@@ -236,21 +261,42 @@ def check_kernel_universal(ctx: FamilyContext, max_size: int) -> CheckResult:
 
 def check_cokernel_universal(ctx: FamilyContext, max_size: int) -> CheckResult:
     """Every u with u o m = 0 factors uniquely through coker(m)."""
-    objects = _objects_of(ctx, max_size)
+    return _cokernel_universal(_hom_tables(ctx, max_size), max_size)
+
+
+def _cokernel_universal(tables: _HomTables, max_size: int) -> CheckResult:
+    """Cokernel factorizations over the objects of size <= ``max_size``, a
+    prefix of ``tables.objects``.  ``u o m`` is read from the row of u.
+    coker(m) depends only on the target and I2, so the composites
+    ``v o coker(m)`` are tallied once per (target, I2, test object), by
+    their index among the interned morphisms into the test object."""
+    mode = tables.mode
+    objects = [b for b in tables.objects if b.poset.size <= max_size]
+    tallies: dict[tuple[int, int, int], Counter] = {}
     failures: list[Any] = []
     checked = 0
     for a in objects:
-        for b in objects:
-            for m in hom_set(a, b, ctx.mode):
-                cok = cokernel(m)
-                for t in objects:
-                    through_cok = Counter(
-                        compose(v, cok) for v in hom_set(cok.target, t, ctx.mode)
-                    )
-                    for u in hom_set(b, t, ctx.mode):
+        for j, b in enumerate(objects):
+            intern_b = tables.intern[b]
+            for m in hom_set(a, b, mode):
+                m_id = intern_b[m]
+                for k, t in enumerate(objects):
+                    into_t = tables.into[t]
+                    through_cok = tallies.get((j, m.i2, k))
+                    if through_cok is None:
+                        cok = cokernel(m)
+                        intern_t = tables.intern[t]
+                        through_cok = Counter(
+                            intern_t.get(compose(v, cok))
+                            for v in hom_set(cok.target, t, mode)
+                        )
+                        tallies[(j, m.i2, k)] = through_cok
+                    lo, hi = tables.blocks[t][j]
+                    for i in range(lo, hi):
                         checked += 1
-                        vanishes = compose(u, m).is_zero
-                        factorizations = through_cok[u]
+                        u = into_t[i]
+                        vanishes = into_t[tables.rows[u][m_id]].is_zero
+                        factorizations = through_cok[i]
                         if factorizations != (1 if vanishes else 0):
                             failures.append(
                                 {
@@ -388,15 +434,12 @@ def check_ses_classification(ctx: FamilyContext, max_size: int) -> CheckResult:
 
 def category_suite(ctx: FamilyContext, assoc_max: int, universal_max: int) -> list[CheckResult]:
     tables = _hom_tables(ctx, assoc_max)
-    results = [
-        check_unit_laws(ctx, assoc_max),
-        _associativity(tables, assoc_max),
-        check_kernel_universal(ctx, universal_max),
-        check_cokernel_universal(ctx, universal_max),
-    ]
+    results = [check_unit_laws(ctx, assoc_max), _associativity(tables, assoc_max)]
     if universal_max > assoc_max:
         tables = _hom_tables(ctx, universal_max)
     return results + [
+        _kernel_universal(tables, universal_max),
+        _cokernel_universal(tables, universal_max),
         _mono_epi_cancellation(tables, universal_max),
         check_torsor(ctx, universal_max),
         check_ses_classification(ctx, min(assoc_max + 1, ctx.max_size)),

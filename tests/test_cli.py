@@ -190,6 +190,12 @@ class TestVerify:
         assert lines[0].startswith("verify family=fin")
         assert all(line.startswith("ok") for line in lines[1:])
 
+    def test_colored_golden(self, capsys):
+        # color mode end to end: every "N checked" count is pinned
+        code, out = run(capsys, "verify", "--family", "csets:2", "--max-size", "3")
+        assert code == 0
+        assert out == (GOLDEN / "verify_csets2_3.stdout").read_text()
+
     def test_seed_printed(self, capsys):
         code, out = run(
             capsys, "verify", "--family", "sets", "--max-size", "2", "--quick",

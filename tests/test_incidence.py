@@ -5,6 +5,7 @@ import pytest
 from inccat.errors import NotAnIdealError
 from inccat.families import colored_sets_up_to, fin_up_to, sets_up_to
 from inccat.hall import HallElement, TensorElement, antipode, coproduct, delta, product
+from inccat.ideals import interval_to_quotient_lattice, order_ideals
 from inccat.incidence import (
     IncidenceElement,
     IntervalClass,
@@ -20,6 +21,7 @@ from inccat.incidence import (
     schmitt_unit,
     verify_hopf_relation,
 )
+from inccat.posets import Poset
 
 
 @pytest.fixture(scope="module")
@@ -55,6 +57,50 @@ class TestIntervalClasses:
 
     def test_sizes_never_related(self, fin):
         assert IntervalClass(fin.empty_class) != IntervalClass(fin.classes(1)[0])
+
+
+def nested_ideal_pairs(p):
+    ideals = order_ideals(p).ideals
+    return [(lower, upper) for upper in ideals for lower in ideals if lower & ~upper == 0]
+
+
+class TestIntervalMemo:
+    """``interval_class`` memoizes per context; the table never changes a class."""
+
+    @pytest.mark.parametrize(
+        "make", [lambda: fin_up_to(4), lambda: colored_sets_up_to(3, 2)], ids=["fin4", "csets2-3"]
+    )
+    def test_warm_memo_matches_fresh_classification(self, make):
+        ctx = make()
+        cases = [
+            (cls.representative, lower, upper)
+            for cls in ctx.all_classes()
+            for lower, upper in nested_ideal_pairs(cls.representative)
+        ]
+        # warm the table in the reverse order, then read every entry back
+        for p, lower, upper in reversed(cases):
+            interval_class(p, lower, upper, ctx)
+        assert len(ctx.memo["intervals"]) == len(cases)
+        for p, lower, upper in cases:
+            fresh = IntervalClass(
+                ctx.class_of(interval_to_quotient_lattice(p, lower, upper).quotient)
+            )
+            assert interval_class(p, lower, upper, ctx) == fresh
+
+    def test_key_distinguishes_colors(self):
+        ctx = colored_sets_up_to(3, 2)
+        same, mixed = Poset((0b01, 0b10), colors=(0, 0)), Poset((0b01, 0b10), colors=(0, 1))
+        warm = interval_class(same, 0, 0b11, ctx)
+        assert interval_class(mixed, 0, 0b11, ctx) != warm
+        assert interval_class(mixed, 0, 0b11, ctx) == IntervalClass(ctx.class_of(mixed))
+
+    def test_errors_not_memoised(self, chain3):
+        ctx = fin_up_to(3)
+        assert interval_class(chain3, 0b001, 0b011, ctx).size == 1
+        for _ in range(2):
+            with pytest.raises(NotAnIdealError):
+                interval_class(chain3, 0b011, 0b001, ctx)
+        assert len(ctx.memo["intervals"]) == 1
 
 
 class TestSchmittProduct:

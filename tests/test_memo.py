@@ -3,8 +3,8 @@ change a result.
 
 Value-keyed tables (canonical keys, ideal lattices, hom sets) are module
 dicts that live as long as the process; per-context tables (the Hall
-split index per degree and both antipodes) live in ``FamilyContext.memo``
-and die with the context.
+split index per degree, both antipodes and the interval classes) live in
+``FamilyContext.memo`` and die with the context.
 """
 
 import gc
@@ -28,7 +28,7 @@ def test_context_is_collected_after_use():
     product(delta(a), delta(b), ctx)
     antipode(delta(b), ctx)
     schmitt_antipode(phi(delta(b), ctx), ctx)
-    assert set(ctx.memo) == {"splits", "antipode", "schmitt_antipode"}
+    assert set(ctx.memo) == {"splits", "antipode", "schmitt_antipode", "intervals"}
     ref = weakref.ref(ctx)
     del ctx
     gc.collect()

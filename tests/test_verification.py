@@ -3,9 +3,10 @@ import json
 import pytest
 
 import inccat.verification as verification
+from inccat import jsonio
 from inccat.category import Morphism, compose, identity, zero_morphism
 from inccat.cli import main
-from inccat.families import fin_up_to, sets_up_to
+from inccat.families import fin_up_to, forests_up_to, sets_up_to
 from inccat.verification import (
     CheckResult,
     category_suite,
@@ -42,6 +43,21 @@ class TestSuitesPass:
         own = verification._mono_epi_cancellation(verification._hom_tables(fin2, 2), 2)
         shared = verification._mono_epi_cancellation(verification._hom_tables(fin2, 3), 2)
         assert own.passed and shared == own
+
+    @pytest.mark.parametrize(
+        "make, bounds",
+        [(lambda: fin_up_to(3), (3, 3)), (lambda: forests_up_to(3), (3, 2))],
+        ids=["fin3-own-table", "forests3-prefix"],
+    )
+    def test_universal_checks_on_shared_table_match_public(self, make, bounds):
+        # with universal < assoc, category_suite reads a prefix of the
+        # associativity table; the public checks build a table of their own
+        ctx = make()
+        universal = bounds[1]
+        results = {r.name: r for r in category_suite(ctx, *bounds)}
+        for public in (check_kernel_universal, check_cokernel_universal):
+            own = public(ctx, universal)
+            assert own.passed and results[own.name] == own
 
 
 class TestFailureDetection:
@@ -130,6 +146,38 @@ class TestTabulatedChecksCatchCorruption:
         assert corrupted
         assert not result.passed
         assert result.counterexample["factorizations"] != 1
+
+    def test_universal_checks_on_shared_table(self, fin2, monkeypatch):
+        # the table says g o f = 0, but f does not factor through ker(g)
+        # and g does not factor through coker(f)
+        build = verification._hom_tables
+        corrupted = []
+
+        def corrupting(ctx, max_size):
+            tables = build(ctx, max_size)
+            for g, row in tables.rows.items():
+                into_c = tables.into[g.target]
+                for i, k in enumerate(row):
+                    if not into_c[k].is_zero:
+                        f = tables.into[g.source][i]
+                        zero = zero_morphism(f.source, g.target, g.mode)
+                        row[i] = tables.intern[g.target][zero]
+                        corrupted.append((g, f))
+                        return tables
+            return tables
+
+        monkeypatch.setattr(verification, "_hom_tables", corrupting)
+        results = {r.name: r for r in category_suite(fin2, 2, 2)}
+        assert corrupted
+        g, f = corrupted[0]
+        for name, m, u in (("kernel", g, f), ("cokernel", f, g)):
+            result = results[f"category.{name}-universal[n<=2]"]
+            assert not result.passed
+            assert result.counterexample == {
+                "m": jsonio.morphism_to_doc(m),
+                "u": jsonio.morphism_to_doc(u),
+                "factorizations": 0,
+            }
 
     def test_mono_epi_cancellation_on_shared_table(self, fin2, monkeypatch):
         # id o f collides with id o 0 in the identity's row, so id stops
