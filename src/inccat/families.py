@@ -30,17 +30,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .errors import FamilyError, TruncationError
+from .errors import FamilyError, SizeCapError, TruncationError
 from .ideals import order_ideals
 from .posets import (
     EMPTY_POSET,
     MapMode,
     Poset,
+    _derived_poset,
     bits,
     canonical_form,
     disjoint_union,
     induced_subposet,
     is_convex,
+    size_cap,
 )
 
 
@@ -140,11 +142,16 @@ class FamilyContext:
 
 
 def _add_maximal_element(p: Poset, below: int, color: int) -> Poset:
-    """Extend by one new maximal element whose strict down-set is ``below``."""
+    """Extend by one new maximal element whose strict down-set is ``below``.
+
+    Every generator passes an order ideal of ``p`` as ``below``, so the
+    result is a poset and is built without re-validation; ``_family``
+    has checked the size cap.
+    """
     n = p.size
     leq = [row | (1 << n) if (below >> i) & 1 else row for i, row in enumerate(p.leq)]
     leq.append(1 << n)
-    return Poset(tuple(leq), tuple(p.labels) + (str(n),), p.colors + (color,))
+    return _derived_poset(tuple(leq), p.labels + (str(n),), p.colors + (color,))
 
 
 def _generate(
@@ -184,7 +191,13 @@ def _family(
     extensions: Callable[[Poset], list[int]],
     dual: bool = False,
 ) -> FamilyContext:
-    """Generate the classes, dualise them if ``dual``, and index them."""
+    """Generate the classes, dualise them if ``dual``, and index them.
+
+    The requested size is checked against the poset size cap here, once:
+    generation builds its posets without re-validation.
+    """
+    if max_size > (cap := size_cap()):
+        raise SizeCapError(f"max size {max_size} exceeds the poset size cap {cap}")
     levels = _generate(max_size, mode, num_colors, extensions)
     if dual:
         levels = [

@@ -275,12 +275,14 @@ def antipode(f: HallElement, ctx: FamilyContext) -> HallElement:
 
         S(x) = -x - sum S(x') * x''.
 
-    Extended linearly; memoized per family context and class.
+    Extended linearly; memoized per family context and class.  Terms
+    accumulate in one dict, so the running sum is never copied.
     """
-    out = HallElement.zero()
+    out: dict[IsoClass, Fraction] = {}
     for cls, value in f.items():
-        out = out + value * _antipode_class(ctx, cls)
-    return out
+        for r_cls, v in _antipode_class(ctx, cls).items():
+            out[r_cls] = out.get(r_cls, 0) + value * v
+    return HallElement(out)
 
 
 def _antipode_class(ctx: FamilyContext, cls: IsoClass) -> HallElement:
@@ -290,9 +292,11 @@ def _antipode_class(ctx: FamilyContext, cls: IsoClass) -> HallElement:
     hit = table.get(cls.key)
     if hit is not None:
         return hit
-    result = -delta(cls)
+    out: dict[IsoClass, Fraction] = {cls: Fraction(-1)}
     for (left, right), value in reduced_coproduct(delta(cls), ctx).items():
-        result = result - value * product(_antipode_class(ctx, left), delta(right), ctx)
+        for r_cls, v in product(_antipode_class(ctx, left), delta(right), ctx).items():
+            out[r_cls] = out.get(r_cls, 0) - value * v
+    result = HallElement(out)
     table[cls.key] = result
     return result
 

@@ -21,9 +21,23 @@ only subtrees that an automorphism maps onto explored ones (twins, and
 the orbits of automorphisms it has found), which yield the same least
 matrix, so pruning never changes a key.
 
+Posets are validated where they enter.  A direct ``Poset(...)``, and
+with it :func:`from_covers`, :meth:`Poset.relabel`, :func:`relabel_by`,
+:func:`cartesian_product` and the JSON loaders, checks the order axioms,
+the labels, the colors and the size cap.  Derivations of posets that are
+already valid (:func:`induced_subposet`, :meth:`Poset.dual`,
+:func:`disjoint_union` and the one-point extensions that generate a
+family) build through :func:`_derived_poset` and skip those checks: a
+restriction, a reversal or a disjoint union of partial orders is again
+one, and they carry over the parents' distinct labels and small colors.
+
 The size cap (default 32) keeps bitmask rows small and catches runaway
 inputs early; override it with the INCCAT_MAX_POSET_SIZE environment
-variable.
+variable.  It is read once per public call that can grow a poset: a
+direct construction, :func:`disjoint_union` (which compares the summed
+size with it) and the family generators (which compare the requested
+maximum size with it before generating anything).  A restriction or a
+dual is never larger than its parent, so it reads no cap.
 """
 
 from __future__ import annotations
@@ -52,6 +66,12 @@ def size_cap() -> int:
     if cap < 0:
         raise SizeCapError(f"invalid {SIZE_CAP_ENV}={raw!r}")
     return cap
+
+
+def _check_cap(n: int) -> None:
+    # A size-0 poset fits any cap, so EMPTY_POSET reads no env at import.
+    if n and n > (cap := size_cap()):
+        raise SizeCapError(f"poset size {n} exceeds the cap {cap}")
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -83,8 +103,10 @@ class Poset:
     ``leq[i]`` is the bitmask of elements j with i <= j (so bit i itself is
     always set).  ``labels`` are display names used by serialization only;
     ``colors`` is one small nonnegative integer per element (all zero when
-    the poset is uncolored).  Reflexivity, antisymmetry and transitivity
-    are checked at construction.
+    the poset is uncolored).  A direct construction checks reflexivity,
+    antisymmetry, transitivity, the labels, the colors and the size cap;
+    derivations of valid posets skip the checks (see the module
+    docstring).  The hash is computed on first use and cached.
     """
 
     leq: tuple[int, ...]
@@ -93,9 +115,7 @@ class Poset:
 
     def __post_init__(self) -> None:
         n = len(self.leq)
-        # A size-0 poset fits any cap, so EMPTY_POSET reads no env at import.
-        if n and n > (cap := size_cap()):
-            raise SizeCapError(f"poset size {n} exceeds the cap {cap}")
+        _check_cap(n)
         if self.labels is None:
             object.__setattr__(self, "labels", tuple(str(i) for i in range(n)))
         if self.colors is None:
@@ -118,6 +138,18 @@ class Poset:
                     raise PosetError(f"relation is not antisymmetric on {i},{j}")
                 if self.leq[j] & ~self.leq[i]:
                     raise PosetError(f"relation is not transitive through {i} <= {j}")
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.leq, self.labels, self.colors))
+
+    def __reduce__(self):
+        # Pickle the fields only: the cached hash of the labels is salted
+        # per process, and loading re-validates like any direct construction.
+        return Poset, (self.leq, self.labels, self.colors)
 
     @property
     def size(self) -> int:
@@ -166,11 +198,22 @@ class Poset:
 
     def dual(self) -> "Poset":
         """Order-reversed copy (x <= y in the dual iff y <= x here)."""
-        return Poset(self.downs, self.labels, self.colors)
+        return _derived_poset(self.downs, self.labels, self.colors)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         rel = ",".join(f"{self.labels[i]}<{self.labels[j]}" for i, j in self.covers)
         return f"Poset({self.size}:{rel})"
+
+
+def _derived_poset(leq: tuple[int, ...], labels: tuple[str, ...], colors: tuple[int, ...]) -> Poset:
+    """A poset derived from valid ones, built without re-validation.
+
+    The caller passes full tuples of a partial order with distinct labels
+    and colors below 256, within the size cap; no check repeats that.
+    """
+    p = object.__new__(Poset)
+    p.__dict__.update(leq=leq, labels=labels, colors=colors)
+    return p
 
 
 EMPTY_POSET = Poset(())
@@ -257,7 +300,8 @@ def disjoint_union(p: Poset, q: Poset) -> tuple[Poset, tuple[int, ...], tuple[in
     primes until fresh.
     """
     n, m = p.size, q.size
-    leq = list(p.leq) + [row << n for row in q.leq]
+    _check_cap(n + m)
+    leq = p.leq + tuple([row << n for row in q.leq])
     taken = set(p.labels)
     labels = list(p.labels)
     for lab in q.labels:
@@ -265,14 +309,15 @@ def disjoint_union(p: Poset, q: Poset) -> tuple[Poset, tuple[int, ...], tuple[in
             lab = lab + "'"
         taken.add(lab)
         labels.append(lab)
-    colors = p.colors + q.colors
-    poset = Poset(tuple(leq), tuple(labels), colors)
+    poset = _derived_poset(leq, tuple(labels), p.colors + q.colors)
     return poset, tuple(range(n)), tuple(range(n, n + m))
 
 
 def relabel_by(p: Poset, perm: list[int]) -> Poset:
     """Image of P under the relabeling i -> perm[i] (labels refreshed)."""
     n = p.size
+    if sorted(perm) != list(range(n)):
+        raise PosetError(f"relabeling is not a permutation of 0..{n - 1}")
     leq = [0] * n
     colors = [0] * n
     for i in range(n):
@@ -312,17 +357,25 @@ def induced_subposet(p: Poset, mask: int) -> tuple[Poset, tuple[int, ...]]:
     """
     if mask & ~p.full_mask:
         raise PosetError("subset references elements out of range")
-    elements = tuple(bits(mask))
-    pos = {e: k for k, e in enumerate(elements)}
-    leq = []
-    for e in elements:
+    p_leq, p_labels, p_colors = p.leq, p.labels, p.colors
+    elements, leq, labels, colors = [], [], [], []
+    rest = mask
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        e = low.bit_length() - 1
+        elements.append(e)
+        labels.append(p_labels[e])
+        colors.append(p_colors[e])
+        # The new index of an element is the number of mask bits below it.
+        up = p_leq[e] & mask
         row = 0
-        for j in bits(p.leq[e] & mask):
-            row |= 1 << pos[j]
+        while up:
+            j = up & -up
+            up ^= j
+            row |= 1 << (mask & (j - 1)).bit_count()
         leq.append(row)
-    labels = tuple(p.labels[e] for e in elements)
-    colors = tuple(p.colors[e] for e in elements)
-    return Poset(tuple(leq), labels, colors), elements
+    return _derived_poset(tuple(leq), tuple(labels), tuple(colors)), tuple(elements)
 
 
 def is_convex(p: Poset, mask: int) -> bool:

@@ -297,6 +297,23 @@ class TestErrors:
         code, out = run(capsys, *argv)
         assert code == 2 and out == ""
 
+    def test_family_over_the_cap_exit_2(self, files, capsys):
+        code = main(
+            ["product", "--family", "sets", "--max-size", "33",
+             str(files / "dot.json"), str(files / "dot.json")]
+        )
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "cap 32" in captured.err
+
+    def test_cover_cycle_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "cycle.json"
+        path.write_text(json.dumps({"elements": ["a", "b"], "covers": [["a", "b"], ["b", "a"]]}))
+        code = main(["ideals", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "cover relation contains a cycle" in captured.err
+
     @pytest.mark.parametrize("value", ["abc", "-1"])
     def test_bad_size_cap_env_exit_2(self, value, files):
         env = dict(os.environ, INCCAT_MAX_POSET_SIZE=value)

@@ -2,7 +2,7 @@ from itertools import product as iproduct
 
 import pytest
 
-from inccat.errors import FamilyError, TruncationError
+from inccat.errors import FamilyError, SizeCapError, TruncationError
 from inccat.families import (
     colored_forests_up_to,
     colored_sets_up_to,
@@ -118,6 +118,23 @@ class TestSets:
 
     def test_closure(self):
         assert verify_closure(sets_up_to(5)).ok
+
+
+class TestSizeCap:
+    """The cap is checked where a family is requested, before generation."""
+
+    def test_sets_over_the_cap(self):
+        with pytest.raises(SizeCapError):
+            sets_up_to(33)
+
+    def test_sets_at_the_cap(self):
+        assert len(sets_up_to(32).classes(32)) == 1
+
+    def test_lowered_cap(self, monkeypatch):
+        monkeypatch.setenv("INCCAT_MAX_POSET_SIZE", "3")
+        assert len(fin_up_to(3).classes(3)) == 5
+        with pytest.raises(SizeCapError):
+            fin_up_to(4)
 
 
 class TestColoredSets:

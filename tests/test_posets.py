@@ -1,3 +1,4 @@
+import pickle
 import random
 from itertools import product as iproduct
 
@@ -7,7 +8,8 @@ from hypothesis import example, given, settings
 
 from conftest import posets
 from inccat.errors import CycleError, PosetError, SizeCapError
-from inccat.families import fin_up_to
+from inccat.families import _add_maximal_element, family_from_spec, fin_up_to
+from inccat.ideals import order_ideals
 from inccat.posets import (
     EMPTY_POSET,
     Bijection,
@@ -46,6 +48,11 @@ PIECES = {
     "Lambda": (3, [(0, 2), (1, 2)]),
     "N": (4, [(0, 2), (1, 2), (1, 3)]),
 }
+
+
+def chain(n):
+    """The n-chain 0 < 1 < ... < n-1."""
+    return Poset(tuple(((1 << n) - 1) & ~((1 << i) - 1) for i in range(n)))
 
 
 def copies(piece, k, rooted):
@@ -215,6 +222,37 @@ class TestConstruction:
         with pytest.raises(PosetError):
             Poset((3, 3))  # not antisymmetric
 
+    @pytest.mark.parametrize(
+        "leq, labels, colors, message",
+        [
+            ((0b011, 0b110, 0b100), None, None, "not transitive"),
+            ((0b101, 0b10), None, None, "out of range"),
+            ((0b1,), None, (256,), "colors"),
+            ((0b01, 0b10), ("a", "a"), None, "distinct"),
+        ],
+        ids=["non-transitive", "out-of-range", "color-256", "duplicate-labels"],
+    )
+    def test_public_constructor_rejects(self, leq, labels, colors, message):
+        with pytest.raises(PosetError, match=message):
+            Poset(leq, labels, colors)
+
+    def test_relabel_rejects_duplicate_labels(self):
+        with pytest.raises(PosetError):
+            CHAIN2.relabel(["a", "a"])
+
+    @pytest.mark.parametrize("perm", [[0, 0], [1, 1], [0, 2]])
+    def test_relabel_by_rejects_non_permutation(self, perm):
+        with pytest.raises(PosetError):
+            relabel_by(CHAIN2, perm)
+
+    def test_disjoint_union_over_the_cap(self):
+        with pytest.raises(SizeCapError):
+            disjoint_union(chain(17), chain(16))
+
+    def test_disjoint_union_at_the_cap(self):
+        union, _, _ = disjoint_union(chain(16), chain(16))
+        assert union.size == 32 and len(connected_components(union)) == 2
+
 
 class TestConstructions:
     def test_union_of_dots_is_antichain(self, dot, antichain2):
@@ -263,6 +301,57 @@ class TestConstructions:
     def test_induced_out_of_range(self, chain2):
         with pytest.raises(PosetError):
             induced_subposet(chain2, 0b100)
+
+
+def assert_fully_valid(r):
+    """The derived poset ``r`` equals its fully validated construction."""
+    assert all(type(field) is tuple for field in (r.leq, r.labels, r.colors))
+    validated = Poset(r.leq, r.labels, r.colors)
+    assert r == validated and hash(r) == hash(validated)
+
+
+class TestHash:
+    def test_cached_hash_matches_the_fields(self):
+        p = Poset((0b011, 0b010), ("a", "b"), (1, 0))
+        assert hash(p) == hash(((0b011, 0b010), ("a", "b"), (1, 0)))
+
+    def test_pickle_drops_the_cached_hash(self):
+        p = Poset((0b011, 0b010), ("a", "b"), (1, 0))
+        hash(p)
+        copy = pickle.loads(pickle.dumps(p))
+        assert copy == p and "_hash" not in vars(copy)
+        assert hash(copy) == hash(p)
+
+
+class TestDerivedPosets:
+    """Oracle for the derivations that skip re-validation."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(posets(max_size=6, num_colors=3), posets(max_size=6, num_colors=3), st.data())
+    def test_derivations_pass_the_full_checks(self, p, q, data):
+        mask = data.draw(st.integers(0, p.full_mask))
+        for sub_mask in (mask, p.full_mask & ~mask):
+            sub, _ = induced_subposet(p, sub_mask)
+            assert_fully_valid(sub)
+            assert_fully_valid(sub.dual())
+        assert_fully_valid(p.dual())
+        union, _, _ = disjoint_union(p, q)
+        assert_fully_valid(union)  # default labels collide, so Q's gain primes
+        color = data.draw(st.integers(0, 255))
+        assert_fully_valid(_add_maximal_element(p, p.down_closure(mask), color))
+
+    @pytest.mark.parametrize(
+        "spec, max_size, root_max",
+        [("fin", 5, False), ("cforests:2", 4, False), ("cforests:2", 4, True)],
+    )
+    def test_every_ideal_split_of_every_class(self, spec, max_size, root_max):
+        ctx = family_from_spec(spec, max_size, root_max=root_max)
+        for cls in ctx.all_classes():
+            rep = cls.representative
+            assert_fully_valid(rep)
+            for ideal in order_ideals(rep).ideals:
+                assert_fully_valid(induced_subposet(rep, ideal)[0])
+                assert_fully_valid(induced_subposet(rep, rep.full_mask & ~ideal)[0])
 
 
 class TestConvexity:
