@@ -146,7 +146,7 @@ def _add_maximal_element(p: Poset, below: int, color: int) -> Poset:
 
     Every generator passes an order ideal of ``p`` as ``below``, so the
     result is a poset and is built without re-validation; ``_family``
-    has checked the size cap.
+    has checked the size cap and the color count.
     """
     n = p.size
     leq = [row | (1 << n) if (below >> i) & 1 else row for i, row in enumerate(p.leq)]
@@ -193,11 +193,14 @@ def _family(
 ) -> FamilyContext:
     """Generate the classes, dualise them if ``dual``, and index them.
 
-    The requested size is checked against the poset size cap here, once:
-    generation builds its posets without re-validation.
+    The requested size and color count are checked here, once, against
+    the poset size cap and the 256 colors a poset allows: generation
+    builds its posets without re-validation.
     """
     if max_size > (cap := size_cap()):
         raise SizeCapError(f"max size {max_size} exceeds the poset size cap {cap}")
+    if num_colors > 256:
+        raise FamilyError(f"at most 256 colors are supported, got {num_colors}")
     levels = _generate(max_size, mode, num_colors, extensions)
     if dual:
         levels = [

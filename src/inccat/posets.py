@@ -106,7 +106,7 @@ class Poset:
     the poset is uncolored).  A direct construction checks reflexivity,
     antisymmetry, transitivity, the labels, the colors and the size cap;
     derivations of valid posets skip the checks (see the module
-    docstring).  The hash is computed on first use and cached.
+    docstring).
     """
 
     leq: tuple[int, ...]
@@ -138,18 +138,6 @@ class Poset:
                     raise PosetError(f"relation is not antisymmetric on {i},{j}")
                 if self.leq[j] & ~self.leq[i]:
                     raise PosetError(f"relation is not transitive through {i} <= {j}")
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    @cached_property
-    def _hash(self) -> int:
-        return hash((self.leq, self.labels, self.colors))
-
-    def __reduce__(self):
-        # Pickle the fields only: the cached hash of the labels is salted
-        # per process, and loading re-validates like any direct construction.
-        return Poset, (self.leq, self.labels, self.colors)
 
     @property
     def size(self) -> int:

@@ -306,6 +306,13 @@ class TestErrors:
         assert code == 2 and captured.out == ""
         assert "cap 32" in captured.err
 
+    @pytest.mark.parametrize("spec", ["csets:257", "cforests:257"])
+    def test_too_many_colors_exit_2(self, spec, capsys):
+        code = main(["family", "dump", "--family", spec, "--max-size", "1", "--size", "1"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "256 colors" in captured.err
+
     def test_cover_cycle_exit_2(self, tmp_path, capsys):
         path = tmp_path / "cycle.json"
         path.write_text(json.dumps({"elements": ["a", "b"], "covers": [["a", "b"], ["b", "a"]]}))

@@ -356,6 +356,14 @@ class TestFamilySpec:
         with pytest.raises(FamilyError):
             family_from_spec("csets:2", 3, root_max=True)
 
+    def test_color_count_limit(self):
+        assert len(colored_sets_up_to(1, 256).classes(1)) == 256
+        for build in (colored_sets_up_to, colored_forests_up_to):
+            with pytest.raises(FamilyError):
+                build(1, 257)
+        with pytest.raises(FamilyError):
+            family_from_spec("cforests:257", 0)
+
     def test_deterministic_class_order(self):
         first = [cls.hex_key for s in range(5) for cls in fin_up_to(4).classes(s)]
         second = [cls.hex_key for s in range(5) for cls in fin_up_to(4).classes(s)]

@@ -1,4 +1,3 @@
-import pickle
 import random
 from itertools import product as iproduct
 
@@ -308,19 +307,6 @@ def assert_fully_valid(r):
     assert all(type(field) is tuple for field in (r.leq, r.labels, r.colors))
     validated = Poset(r.leq, r.labels, r.colors)
     assert r == validated and hash(r) == hash(validated)
-
-
-class TestHash:
-    def test_cached_hash_matches_the_fields(self):
-        p = Poset((0b011, 0b010), ("a", "b"), (1, 0))
-        assert hash(p) == hash(((0b011, 0b010), ("a", "b"), (1, 0)))
-
-    def test_pickle_drops_the_cached_hash(self):
-        p = Poset((0b011, 0b010), ("a", "b"), (1, 0))
-        hash(p)
-        copy = pickle.loads(pickle.dumps(p))
-        assert copy == p and "_hash" not in vars(copy)
-        assert hash(copy) == hash(p)
 
 
 class TestDerivedPosets:
