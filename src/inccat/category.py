@@ -86,11 +86,19 @@ class Morphism:
             raise NotAnIdealError("I1 is not an order ideal of the source")
         if not is_order_ideal(p2, self.i2):
             raise NotAnIdealError("I2 is not an order ideal of the target")
+        if not isinstance(self.fmap, tuple):
+            raise PosetError("f must be a tuple of element indices of the target")
+        n2 = p2.size
+        image = 0
+        for b in self.fmap:
+            if not isinstance(b, int) or not 0 <= b < n2:
+                raise PosetError("f must be a tuple of element indices of the target")
+            image |= 1 << b
         domain_mask = p1.full_mask & ~self.i1
         domain = tuple(bits(domain_mask))
-        if len(self.fmap) != len(domain) or mask_of(self.fmap) != self.i2 or len(
-            set(self.fmap)
-        ) != len(self.fmap):
+        # fmap is injective exactly when its image has one bit per entry
+        k = len(self.fmap)
+        if k != len(domain) or image != self.i2 or image.bit_count() != k:
             raise PosetError("f does not map P1 \\ I1 bijectively onto I2")
         # f is a bijection onto I2, so it respects the order exactly when it
         # maps the up-set of each a inside the domain onto the up-set of

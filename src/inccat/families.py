@@ -28,7 +28,7 @@ and indexing them; it needs a generator and nothing else.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Any, Callable
 
 from .errors import FamilyError, SizeCapError, TruncationError
 from .ideals import order_ideals
@@ -97,8 +97,9 @@ class FamilyContext:
     the index is closed under convex subposets and disjoint unions.
 
     ``memo`` holds the tables of results that depend on the context (the
-    Hall split index per degree, antipodes, interval classes), one named
-    sub-table each; they live and die with the context.
+    Hall split index per degree, antipodes, interval classes and the
+    composition table of the category checks), one named entry each;
+    they live and die with the context.
     """
 
     name: str
@@ -107,7 +108,7 @@ class FamilyContext:
     max_size: int
     classes_by_size: tuple[tuple[IsoClass, ...], ...]
     _by_key: dict[bytes, IsoClass] = field(repr=False)
-    memo: dict[str, dict] = field(default_factory=dict, init=False, repr=False)
+    memo: dict[str, Any] = field(default_factory=dict, init=False, repr=False)
 
     def classes(self, size: int) -> tuple[IsoClass, ...]:
         if size < 0:
@@ -204,7 +205,7 @@ def _family(
     levels = _generate(max_size, mode, num_colors, extensions)
     if dual:
         levels = [
-            sorted((canonical_form(p.dual(), mode), p.dual()) for _, p in level)
+            sorted((canonical_form(d, mode), d) for d in (p.dual() for _, p in level))
             for level in levels
         ]
     classes_by_size = []

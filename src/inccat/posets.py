@@ -103,7 +103,8 @@ class Poset:
     ``leq[i]`` is the bitmask of elements j with i <= j (so bit i itself is
     always set).  ``labels`` are display names used by serialization only;
     ``colors`` is one small nonnegative integer per element (all zero when
-    the poset is uncolored).  A direct construction checks reflexivity,
+    the poset is uncolored).  A direct construction checks that the rows,
+    labels and colors are tuples of ints, strs and ints, reflexivity,
     antisymmetry, transitivity, the labels, the colors and the size cap;
     derivations of valid posets skip the checks (see the module
     docstring).
@@ -114,12 +115,15 @@ class Poset:
     colors: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
+        _check_tuple_of(self.leq, int, "relation rows")
         n = len(self.leq)
         _check_cap(n)
         if self.labels is None:
             object.__setattr__(self, "labels", tuple(str(i) for i in range(n)))
         if self.colors is None:
             object.__setattr__(self, "colors", (0,) * n)
+        _check_tuple_of(self.labels, str, "labels")
+        _check_tuple_of(self.colors, int, "colors")
         if len(self.labels) != n or len(self.colors) != n:
             raise PosetError("labels/colors length must equal the poset size")
         if len(set(self.labels)) != n:
@@ -191,6 +195,11 @@ class Poset:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         rel = ",".join(f"{self.labels[i]}<{self.labels[j]}" for i, j in self.covers)
         return f"Poset({self.size}:{rel})"
+
+
+def _check_tuple_of(values: object, kind: type, what: str) -> None:
+    if not isinstance(values, tuple) or not all(isinstance(v, kind) for v in values):
+        raise PosetError(f"{what} must be a tuple of {kind.__name__} values")
 
 
 def _derived_poset(leq: tuple[int, ...], labels: tuple[str, ...], colors: tuple[int, ...]) -> Poset:

@@ -7,17 +7,19 @@ exists.  The suites are exhaustive over the stated size bounds, never
 sampled, with one exception: the Hopf-relation checks draw seeded random
 relabelings.
 
-The associativity and cancellation checks are organized around
-composition tables.  All morphisms into each object are interned once;
-for every morphism g the row ``f -> g o f`` is tabulated by real
-``compose`` calls; associativity of a triple (f, g, h) then reads
+The unit, associativity, cancellation and universal checks read one
+composition table per family context, kept in ``ctx.memo["hom_tables"]``.
+All morphisms into each object are interned once; for every morphism g
+the row ``f -> g o f`` is tabulated by real ``compose`` calls;
+associativity of a triple (f, g, h) then reads
 ``row_h[row_g[f]] == row_{h o g}[f]``, so the exhaustive triple scan
 costs two table lookups per triple while every composite in sight was
-produced (and validated) by the actual composition routine.
-:func:`category_suite` builds the tables once and shares them: objects
-are ordered by size, so the tables of a smaller bound are a prefix of
-the larger ones, and the cancellation and universal checks read that
-prefix.
+produced (and validated) by the actual composition routine.  The table
+is built on first use and replaced only when a larger bound is asked
+for.  Objects are ordered by size, so the objects of a smaller bound,
+their blocks in each row and their interned indices are a prefix of the
+larger table, and a check at that bound reads the prefix.
+:func:`category_suite` is the list of the public checks.
 
 The kernel and cokernel universal properties count factorizations.  The
 vanishing of ``m o u`` (resp. ``u o m``) is read from the table.  ker(m)
@@ -120,6 +122,7 @@ class _HomTables:
 
     objects: list[CategoryObject]
     mode: MapMode
+    max_size: int
     into: dict[CategoryObject, list[Morphism]] = field(default_factory=dict)
     intern: dict[CategoryObject, dict[Morphism, int]] = field(default_factory=dict)
     blocks: dict[CategoryObject, list[tuple[int, int]]] = field(default_factory=dict)
@@ -143,6 +146,10 @@ class _HomTables:
                 for g in hom_set(b, c, self.mode):
                     self.rows[g] = [intern_c[compose(g, f)] for f in incoming]
 
+    def prefix(self, max_size: int) -> list[CategoryObject]:
+        """The objects of size <= ``max_size``, a prefix of ``objects``."""
+        return [b for b in self.objects if b.poset.size <= max_size]
+
 
 def _objects_of(ctx: FamilyContext, max_size: int) -> list[CategoryObject]:
     return [
@@ -153,52 +160,64 @@ def _objects_of(ctx: FamilyContext, max_size: int) -> list[CategoryObject]:
 
 
 def _hom_tables(ctx: FamilyContext, max_size: int) -> _HomTables:
-    tables = _HomTables(_objects_of(ctx, max_size), ctx.mode)
-    tables.build()
+    """The context's table; built on first use, replaced for a larger bound."""
+    tables = ctx.memo.get("hom_tables")
+    if tables is None or tables.max_size < max_size:
+        tables = _HomTables(_objects_of(ctx, max_size), ctx.mode, max_size)
+        tables.build()
+        ctx.memo["hom_tables"] = tables
     return tables
 
 
 def check_unit_laws(ctx: FamilyContext, max_size: int) -> CheckResult:
-    """compose(id, m) = m = compose(m, id) over all hom-sets."""
-    objects = _objects_of(ctx, max_size)
+    """id_b o m = m = m o id_a over all hom-sets, read from the table."""
+    tables = _hom_tables(ctx, max_size)
+    objects = tables.prefix(max_size)
+    identities = {a: identity(a, ctx.mode) for a in objects}
     failures: list[Any] = []
     checked = 0
-    for a in objects:
-        ida = identity(a, ctx.mode)
+    for k, a in enumerate(objects):
+        id_a = tables.intern[a][identities[a]]
         for b in objects:
-            idb = identity(b, ctx.mode)
-            for m in hom_set(a, b, ctx.mode):
+            into_b = tables.into[b]
+            row_idb = tables.rows[identities[b]]
+            lo, hi = tables.blocks[b][k]
+            for i in range(lo, hi):
                 checked += 1
-                if compose(idb, m) != m or compose(m, ida) != m:
+                m = into_b[i]
+                if into_b[row_idb[i]] != m or into_b[tables.rows[m][id_a]] != m:
                     failures.append(jsonio.morphism_to_doc(m))
     return _result(f"category.unit-laws[n<={max_size}]", failures, checked)
 
 
 def check_associativity(ctx: FamilyContext, max_size: int) -> CheckResult:
     """(h o g) o f = h o (g o f) over every composable triple."""
-    return _associativity(_hom_tables(ctx, max_size), max_size)
-
-
-def _associativity(tables: _HomTables, max_size: int) -> CheckResult:
+    tables = _hom_tables(ctx, max_size)
+    objects = tables.prefix(max_size)
     mode = tables.mode
     failures: list[Any] = []
     triples = 0
-    for b in tables.objects:
-        for c in tables.objects:
+    for b in objects:
+        # f ranges over the prefix block of the rows into b; a row is
+        # sliced only when the table is larger, as a slice copies it
+        width = tables.blocks[b][len(objects) - 1][1]
+        for c in objects:
             intern_c = tables.intern[c]
             for g in hom_set(b, c, mode):
-                row_g = tables.rows[g]
+                row_g = tables.rows[g][:width]
                 g_id = intern_c[g]
-                for d in tables.objects:
+                for d in objects:
                     into_d = tables.into[d]
                     for h in hom_set(c, d, mode):
                         row_h = tables.rows[h]
-                        hg = into_d[row_h[g_id]]
+                        row_hg = tables.rows[into_d[row_h[g_id]]]
+                        if len(row_hg) != width:
+                            row_hg = row_hg[:width]
                         via_g = list(map(row_h.__getitem__, row_g))
-                        triples += len(via_g)
-                        if via_g != tables.rows[hg]:
+                        triples += width
+                        if via_g != row_hg:
                             bad = next(
-                                i for i, (x, y) in enumerate(zip(via_g, tables.rows[hg])) if x != y
+                                i for i, (x, y) in enumerate(zip(via_g, row_hg)) if x != y
                             )
                             failures.append(
                                 {
@@ -212,17 +231,9 @@ def _associativity(tables: _HomTables, max_size: int) -> CheckResult:
 
 def check_kernel_universal(ctx: FamilyContext, max_size: int) -> CheckResult:
     """Every u with m o u = 0 factors uniquely through ker(m)."""
-    return _kernel_universal(_hom_tables(ctx, max_size), max_size)
-
-
-def _kernel_universal(tables: _HomTables, max_size: int) -> CheckResult:
-    """Kernel factorizations over the objects of size <= ``max_size``, a
-    prefix of ``tables.objects``.  ``m o u`` is read from the row of m.
-    ker(m) depends only on the source and I1, so the composites
-    ``ker(m) o v`` are tallied once per (source, I1, test object), by
-    their index among the interned morphisms into the source."""
+    tables = _hom_tables(ctx, max_size)
+    objects = tables.prefix(max_size)
     mode = tables.mode
-    objects = [b for b in tables.objects if b.poset.size <= max_size]
     failures: list[Any] = []
     checked = 0
     for a in objects:
@@ -261,17 +272,9 @@ def _kernel_universal(tables: _HomTables, max_size: int) -> CheckResult:
 
 def check_cokernel_universal(ctx: FamilyContext, max_size: int) -> CheckResult:
     """Every u with u o m = 0 factors uniquely through coker(m)."""
-    return _cokernel_universal(_hom_tables(ctx, max_size), max_size)
-
-
-def _cokernel_universal(tables: _HomTables, max_size: int) -> CheckResult:
-    """Cokernel factorizations over the objects of size <= ``max_size``, a
-    prefix of ``tables.objects``.  ``u o m`` is read from the row of u.
-    coker(m) depends only on the target and I2, so the composites
-    ``v o coker(m)`` are tallied once per (target, I2, test object), by
-    their index among the interned morphisms into the test object."""
+    tables = _hom_tables(ctx, max_size)
+    objects = tables.prefix(max_size)
     mode = tables.mode
-    objects = [b for b in tables.objects if b.poset.size <= max_size]
     tallies: dict[tuple[int, int, int], Counter] = {}
     failures: list[Any] = []
     checked = 0
@@ -310,15 +313,9 @@ def _cokernel_universal(tables: _HomTables, max_size: int) -> CheckResult:
 
 def check_mono_epi_cancellation(ctx: FamilyContext, max_size: int) -> CheckResult:
     """is_mono/is_epi agree with left/right cancellability."""
-    return _mono_epi_cancellation(_hom_tables(ctx, max_size), max_size)
-
-
-def _mono_epi_cancellation(tables: _HomTables, max_size: int) -> CheckResult:
-    """Cancellation over the objects of size <= ``max_size``, which are a
-    prefix of ``tables.objects``; so are their source blocks, and every
-    composite among them is interned at the same index in the prefix."""
+    tables = _hom_tables(ctx, max_size)
+    objects = tables.prefix(max_size)
     mode = tables.mode
-    objects = [b for b in tables.objects if b.poset.size <= max_size]
     failures: list[Any] = []
     checked = 0
     for b in objects:
@@ -433,14 +430,12 @@ def check_ses_classification(ctx: FamilyContext, max_size: int) -> CheckResult:
 
 
 def category_suite(ctx: FamilyContext, assoc_max: int, universal_max: int) -> list[CheckResult]:
-    tables = _hom_tables(ctx, assoc_max)
-    results = [check_unit_laws(ctx, assoc_max), _associativity(tables, assoc_max)]
-    if universal_max > assoc_max:
-        tables = _hom_tables(ctx, universal_max)
-    return results + [
-        _kernel_universal(tables, universal_max),
-        _cokernel_universal(tables, universal_max),
-        _mono_epi_cancellation(tables, universal_max),
+    return [
+        check_unit_laws(ctx, assoc_max),
+        check_associativity(ctx, assoc_max),
+        check_kernel_universal(ctx, universal_max),
+        check_cokernel_universal(ctx, universal_max),
+        check_mono_epi_cancellation(ctx, universal_max),
         check_torsor(ctx, universal_max),
         check_ses_classification(ctx, min(assoc_max + 1, ctx.max_size)),
     ]

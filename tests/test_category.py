@@ -64,6 +64,18 @@ class TestMorphismValidation:
     def test_map_must_hit_image(self, objs):
         with pytest.raises(PosetError):
             Morphism(objs["dot"], objs["c2"], 0, 0b01, (1,))
+        # two elements onto one: the image is I2, but f is not injective
+        with pytest.raises(PosetError, match="bijectively"):
+            Morphism(objs["ac2"], objs["c2"], 0, 0b01, (0, 0))
+
+    @pytest.mark.parametrize(
+        "fmap",
+        [(-1, 0), [0, 1], (0, 2), (0, 1.0), (0, "1")],
+        ids=["negative", "list", "past-target", "float", "str"],
+    )
+    def test_map_must_be_a_tuple_of_target_indices(self, objs, fmap):
+        with pytest.raises(PosetError, match="tuple of element indices"):
+            Morphism(objs["ac2"], objs["ac2"], 0, 0b11, fmap)
 
     def test_zero_morphism(self, objs):
         z = zero_morphism(objs["c2"], objs["ac2"])

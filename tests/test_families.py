@@ -237,6 +237,13 @@ class TestForests:
         vee = from_covers(["a", "b", "c"], [("a", "b"), ("a", "c")])
         assert not fmax.contains(vee)
 
+    def test_root_max_dualizes_each_class_once(self, monkeypatch):
+        calls = []
+        original = Poset.dual
+        monkeypatch.setattr(Poset, "dual", lambda p: calls.append(p) or original(p))
+        fmax = forests_up_to(4, root_max=True)
+        assert len(calls) == len(fmax.all_classes())
+
     def test_ideals_are_admissible_cuts(self):
         # |J_t| = admissible edge cuts + 1 (the empty ideal has no cut)
         forests = forests_up_to(5)

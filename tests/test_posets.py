@@ -228,8 +228,23 @@ class TestConstruction:
             ((0b101, 0b10), None, None, "out of range"),
             ((0b1,), None, (256,), "colors"),
             ((0b01, 0b10), ("a", "a"), None, "distinct"),
+            ((0b01, 0b10), None, (0, 1.5), "colors must be a tuple of int"),
+            (("x",), None, None, "relation rows must be a tuple of int"),
+            ([0b01, 0b10], None, None, "relation rows must be a tuple of int"),
+            ((0b01, 0b10), ("a", 1), None, "labels must be a tuple of str"),
+            ((0b01, 0b10), ["a", "b"], None, "labels must be a tuple of str"),
         ],
-        ids=["non-transitive", "out-of-range", "color-256", "duplicate-labels"],
+        ids=[
+            "non-transitive",
+            "out-of-range",
+            "color-256",
+            "duplicate-labels",
+            "float-color",
+            "str-row",
+            "list-rows",
+            "int-label",
+            "list-labels",
+        ],
     )
     def test_public_constructor_rejects(self, leq, labels, colors, message):
         with pytest.raises(PosetError, match=message):

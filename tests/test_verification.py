@@ -13,13 +13,23 @@ from inccat.verification import (
     check_associativity,
     check_cokernel_universal,
     check_kernel_universal,
+    check_mono_epi_cancellation,
     check_unit_laws,
     run_verification,
 )
 
+TABLE_CHECKS = (
+    "check_unit_laws",
+    "check_associativity",
+    "check_kernel_universal",
+    "check_cokernel_universal",
+    "check_mono_epi_cancellation",
+)
 
-@pytest.fixture(scope="module")
-def fin2():
+
+@pytest.fixture
+def fresh_fin():
+    """A context of its own, so no clean table is memoized from another test."""
     return fin_up_to(3)
 
 
@@ -37,12 +47,36 @@ class TestSuitesPass:
         results = run_verification(sets_up_to(4), 2, 2, 3, 3, 3, seed=1)
         assert results and all(r.passed for r in results)
 
-    def test_cancellation_reads_prefix_of_larger_table(self, fin2):
-        # category_suite runs the cancellation check on the associativity
-        # table when its bound is smaller; the result must be the same
-        own = verification._mono_epi_cancellation(verification._hom_tables(fin2, 2), 2)
-        shared = verification._mono_epi_cancellation(verification._hom_tables(fin2, 3), 2)
-        assert own.passed and shared == own
+    def test_cancellation_reads_prefix_of_larger_table(self):
+        # a larger bound replaces the table; that one table then serves
+        # every check at bounds 2 and 3, and each result, "N checked"
+        # included, equals the check's on a table of its own bound
+        ctx = fin_up_to(3)
+        check_associativity(ctx, 2)
+        small = ctx.memo["hom_tables"]
+        check_associativity(ctx, 3)
+        table = ctx.memo["hom_tables"]
+        assert table is not small
+        for name in TABLE_CHECKS:
+            check = getattr(verification, name)
+            for bound in (2, 3):
+                own = check(fin_up_to(3), bound)
+                assert own.passed and check(ctx, bound) == own, (name, bound)
+        assert ctx.memo["hom_tables"] is table
+
+    def test_suite_calls_each_public_check_once(self, monkeypatch):
+        # the benchmark's per-check timings wrap these module globals
+        calls = dict.fromkeys(TABLE_CHECKS, 0)
+        for name in TABLE_CHECKS:
+            original = getattr(verification, name)
+
+            def counting(ctx, max_size, name=name, original=original):
+                calls[name] += 1
+                return original(ctx, max_size)
+
+            monkeypatch.setattr(verification, name, counting)
+        category_suite(fin_up_to(3), 3, 3)
+        assert calls == dict.fromkeys(TABLE_CHECKS, 1)
 
     @pytest.mark.parametrize(
         "make, bounds",
@@ -51,19 +85,20 @@ class TestSuitesPass:
     )
     def test_universal_checks_on_shared_table_match_public(self, make, bounds):
         # with universal < assoc, category_suite reads a prefix of the
-        # associativity table; the public checks build a table of their own
+        # associativity table; on a fresh context each check builds its own
         ctx = make()
         universal = bounds[1]
         results = {r.name: r for r in category_suite(ctx, *bounds)}
-        for public in (check_kernel_universal, check_cokernel_universal):
-            own = public(ctx, universal)
+        checks = (check_kernel_universal, check_cokernel_universal, check_mono_epi_cancellation)
+        for public in checks:
+            own = public(make(), universal)
             assert own.passed and results[own.name] == own
 
 
 class TestFailureDetection:
     """The checkers must notice a broken composition, not pass vacuously."""
 
-    def test_unit_check_catches_broken_compose(self, fin2, monkeypatch):
+    def test_unit_check_catches_broken_compose(self, fresh_fin, monkeypatch):
         def sabotaged(second, first):
             from inccat.category import zero_morphism
 
@@ -73,11 +108,11 @@ class TestFailureDetection:
             return result
 
         monkeypatch.setattr(verification, "compose", sabotaged)
-        result = check_unit_laws(fin2, 1)
+        result = check_unit_laws(fresh_fin, 1)
         assert not result.passed
         assert result.counterexample is not None
 
-    def test_associativity_catches_biased_compose(self, fin2, monkeypatch):
+    def test_associativity_catches_biased_compose(self, fresh_fin, monkeypatch):
         calls = {"n": 0}
 
         def flaky(second, first):
@@ -90,7 +125,7 @@ class TestFailureDetection:
             return result
 
         monkeypatch.setattr(verification, "compose", flaky)
-        result = check_associativity(fin2, 2)
+        result = check_associativity(fresh_fin, 2)
         assert not result.passed
 
 
@@ -131,30 +166,33 @@ def record_calls(monkeypatch, name):
 class TestTabulatedChecksCatchCorruption:
     """A single wrong composite in a tabulated check must surface as a failure."""
 
-    def test_kernel_universal(self, fin2, monkeypatch):
+    def test_kernel_universal(self, fresh_fin, monkeypatch):
         kernels = record_calls(monkeypatch, "kernel")
         corrupted = corrupt_one_composite(monkeypatch, lambda second, first: second in kernels)
-        result = check_kernel_universal(fin2, 2)
+        result = check_kernel_universal(fresh_fin, 2)
         assert corrupted
         assert not result.passed
         assert result.counterexample["factorizations"] != 1
 
-    def test_cokernel_universal(self, fin2, monkeypatch):
+    def test_cokernel_universal(self, fresh_fin, monkeypatch):
         cokernels = record_calls(monkeypatch, "cokernel")
         corrupted = corrupt_one_composite(monkeypatch, lambda second, first: first in cokernels)
-        result = check_cokernel_universal(fin2, 2)
+        result = check_cokernel_universal(fresh_fin, 2)
         assert corrupted
         assert not result.passed
         assert result.counterexample["factorizations"] != 1
 
-    def test_universal_checks_on_shared_table(self, fin2, monkeypatch):
+    def test_universal_checks_on_shared_table(self, fresh_fin, monkeypatch):
         # the table says g o f = 0, but f does not factor through ker(g)
         # and g does not factor through coker(f)
         build = verification._hom_tables
         corrupted = []
 
         def corrupting(ctx, max_size):
+            # every check asks for the memoized table; corrupt it only once
             tables = build(ctx, max_size)
+            if corrupted:
+                return tables
             for g, row in tables.rows.items():
                 into_c = tables.into[g.target]
                 for i, k in enumerate(row):
@@ -167,7 +205,7 @@ class TestTabulatedChecksCatchCorruption:
             return tables
 
         monkeypatch.setattr(verification, "_hom_tables", corrupting)
-        results = {r.name: r for r in category_suite(fin2, 2, 2)}
+        results = {r.name: r for r in category_suite(fresh_fin, 2, 2)}
         assert corrupted
         g, f = corrupted[0]
         for name, m, u in (("kernel", g, f), ("cokernel", f, g)):
@@ -179,13 +217,13 @@ class TestTabulatedChecksCatchCorruption:
                 "factorizations": 0,
             }
 
-    def test_mono_epi_cancellation_on_shared_table(self, fin2, monkeypatch):
+    def test_mono_epi_cancellation_on_shared_table(self, fresh_fin, monkeypatch):
         # id o f collides with id o 0 in the identity's row, so id stops
         # looking left-cancellable although it is a mono
         corrupted = corrupt_one_composite(
             monkeypatch, lambda second, first: second == identity(second.source, second.mode)
         )
-        results = {r.name: r for r in category_suite(fin2, 2, 2)}
+        results = {r.name: r for r in category_suite(fresh_fin, 2, 2)}
         result = results["category.mono-epi-cancellation[n<=2]"]
         assert corrupted
         assert not result.passed
