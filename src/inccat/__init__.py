@@ -15,6 +15,7 @@ from .errors import (
     PosetError,
     SizeCapError,
     TruncationError,
+    VectorError,
 )
 from .posets import (
     Bijection,

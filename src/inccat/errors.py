@@ -36,3 +36,7 @@ class FamilyError(IncCatError):
 
 class TruncationError(FamilyError):
     """A computation needs iso-classes beyond the family's size cutoff."""
+
+
+class VectorError(IncCatError):
+    """A vector does not fit the generators it is read against."""

@@ -22,10 +22,12 @@ Computations beyond the context's cutoff raise ``TruncationError``.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
+from typing import Sequence
 
 from . import linalg
-from .errors import FamilyError, IncCatError, TruncationError
+from .errors import FamilyError, IncCatError, TruncationError, VectorError
 from .families import FamilyContext, IsoClass
 from .ideals import order_ideals
 from .posets import connected_components, find_isomorphisms, induced_subposet, is_connected
@@ -358,13 +360,29 @@ class K0Presentation:
     [X_I] + [X_{P \\ I}] - [X_P] per ideal I of each representative, read
     off ``split_index`` (the degenerate ideals pin the empty class to zero);
     ``category.ses-classification`` verifies that these ideals match the
-    short exact sequences one to one.  The Smith normal form of the relation
-    matrix gives the group: free of rank (#generators - #nonzero invariant
-    factors) times the cyclic torsion factors > 1.  Each row has at most
-    three nonzero entries, nearly all +-1, so ``linalg.smith_diagonal``
-    reduces it by sparse unit pivots.  No built-in family leaves a residual
-    block at the sizes tried (fin:6, sets:6, csets:3 at 5, forests:7,
-    cforests:2 at 5), and every invariant factor is 1.
+    short exact sequences one to one.  Each relation is a sparse row of
+    ``(generator index, value)`` entries, at most three of them.
+
+    The relation lattice is the kernel of the color-count map chi, which
+    sends a generator to its ``IsoClass.color_vector``.  The certificate,
+    checked at construction:
+
+    1. A minimal element m of P is an order ideal, so the split
+       [X_P] = [X_m] + [X_{P \\ m}] is a relation: every generator of size
+       >= 2 has a relation whose sub is a single point.
+    2. By induction on size, each generator is congruent to its color
+       vector times the point classes, and the empty class to zero.
+    3. Every relation lies in ker chi, since I and P \\ I split the
+       elements of P color by color.
+    4. chi sends the point classes to distinct unit vectors, so the
+       quotient is free on the point classes and the relations span
+       exactly ker chi.
+
+    So ``relations_contain`` reads chi alone.  The Smith normal form of the
+    relations stays the live oracle: ``linalg.smith_diagonal`` reduces the
+    sparse rows by unit pivots, and the free rank must come out as the
+    number of point classes, with no torsion.  A missing certificate row or
+    any other Smith form raises ``IncCatError``.
     """
 
     def __init__(self, ctx: FamilyContext, cutoff: int):
@@ -380,18 +398,32 @@ class K0Presentation:
             cls for size in range(cutoff + 1) for cls in ctx.classes(size)
         )
         index = {cls.key: i for i, cls in enumerate(self.generators)}
-        rows: list[tuple[int, ...]] = []
+        rows: list[linalg.Entries] = []
+        split_off_point: set[IsoClass] = set()
         for total in range(cutoff + 1):
             for (p_cls, q_cls), entries in split_index(ctx, total).items():
                 for r_cls, n in entries:
-                    row = [0] * len(self.generators)
-                    row[index[p_cls.key]] += 1
-                    row[index[q_cls.key]] += 1
-                    row[index[r_cls.key]] -= 1
-                    rows.extend([tuple(row)] * n)
-        self.relations: tuple[tuple[int, ...], ...] = tuple(rows)
-        self.smith_diagonal: tuple[int, ...] = linalg.smith_diagonal(rows)
+                    row = _relation_row(index[p_cls.key], index[q_cls.key], index[r_cls.key])
+                    rows.extend([row] * n)
+                    if p_cls.size == 1:
+                        split_off_point.add(r_cls)
+        self.relations: tuple[linalg.Entries, ...] = tuple(rows)
         self._index = index
+        for cls in self.generators:
+            if cls.size >= 2 and cls not in split_off_point:
+                raise IncCatError(
+                    f"class {cls.hex_key} of family {ctx.name!r} has no relation "
+                    "splitting off a single point"
+                )
+        self.smith_diagonal: tuple[int, ...] = linalg.smith_diagonal(self.relations, sparse=True)
+        points = sum(cls.size == 1 for cls in self.generators)
+        if self.free_rank != points or self.torsion:
+            raise IncCatError(
+                f"K0 of family {ctx.name!r} at cutoff {cutoff} has free rank {self.free_rank} "
+                f"and torsion {list(self.torsion)}; the color counts give free rank {points}"
+            )
+        # One tuple per color: its count in each generator.
+        self._color_counts = tuple(zip(*(cls.color_vector for cls in self.generators)))
 
     @property
     def free_rank(self) -> int:
@@ -402,20 +434,41 @@ class K0Presentation:
         return tuple(d for d in self.smith_diagonal if d > 1)
 
     def class_vector(self, cls: IsoClass) -> list[int]:
+        i = self._index.get(cls.key)
+        if i is None:
+            if cls.size > self.cutoff:
+                raise TruncationError(
+                    f"class {cls.hex_key} has size {cls.size}, the presentation stops at "
+                    f"cutoff {self.cutoff}"
+                )
+            raise FamilyError(f"class {cls.hex_key} is not a generator of family {self.family!r}")
         vec = [0] * len(self.generators)
-        vec[self._index[cls.key]] = 1
+        vec[i] = 1
         return vec
 
-    def relations_contain(self, vector: list[int]) -> bool:
+    def relations_contain(self, vector: Sequence[int]) -> bool:
         """Does the vector vanish in the truncated K0?
 
-        Z^n modulo the relation lattice is a finitely generated abelian
-        group, hence Hopfian: appending a vector to the relations presents
-        an isomorphic quotient only if the vector was already in the
-        lattice.  So the test compares the stored invariant factors (and
-        with them the free rank) with those of the extended matrix.
+        The relations span the kernel of the color-count map (see the
+        class docstring), so the vector vanishes exactly when each color
+        counts to zero over it.
         """
-        return linalg.smith_diagonal([*self.relations, vector]) == self.smith_diagonal
+        if len(vector) != len(self.generators):
+            raise VectorError(
+                f"vector has {len(vector)} entries, the presentation has "
+                f"{len(self.generators)} generators"
+            )
+        if not all(isinstance(a, int) for a in vector):
+            raise VectorError("vector entries must be ints")
+        return not any(sum(map(operator.mul, vector, counts)) for counts in self._color_counts)
+
+
+def _relation_row(sub: int, rest: int, whole: int) -> linalg.Entries:
+    """The sparse row [sub] + [rest] - [whole], sorted by column."""
+    row = {sub: 1}
+    row[rest] = row.get(rest, 0) + 1
+    row[whole] = row.get(whole, 0) - 1
+    return tuple(sorted((j, a) for j, a in row.items() if a))
 
 
 def k0_truncated(ctx: FamilyContext, cutoff: int) -> K0Presentation:

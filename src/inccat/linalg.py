@@ -14,19 +14,33 @@ unit entries the pivot of least Markowitz cost ``(row nnz - 1)*(column
 nnz - 1)`` goes first, which keeps the fill-in small.  A residual block
 with no unit entry left, if any, goes to sympy's ``invariant_factors``;
 sympy is imported only then.  Every value is a Python int throughout.
+
+A matrix comes in dense, as rows of ints, or sparse, as rows of
+``(column, value)`` entries.  Dense rows are converted to the same entries,
+so both reach the one elimination.  The truncated K0 relations of
+``hall.K0Presentation`` come sparse, straight from the split index: on
+fin:7 at cutoff 7 that is 54,724 rows of at most 3 entries over 2,451
+columns.  ``inccat k0`` on it took 13.8 s and 884 MB peak RSS with dense
+rows, and takes 3.8-4.8 s and 93 MB with sparse ones (2-vCPU x86 VM,
+Python 3.11).
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 Rows = Sequence[Sequence[int]]
+# One sparse row: its nonzero entries, each column at most once.
+Entries = Sequence[tuple[int, int]]
 
 
-def smith_diagonal(rows: Rows) -> tuple[int, ...]:
-    """Nonzero invariant factors d1 | d2 | ... of an integer matrix."""
-    pivots, residual = _eliminate_units(rows)
+def smith_diagonal(rows: Rows | Sequence[Entries], *, sparse: bool = False) -> tuple[int, ...]:
+    """Nonzero invariant factors d1 | d2 | ... of an integer matrix.
+
+    With ``sparse=True`` each row is given by its ``(column, value)`` entries.
+    """
+    pivots, residual = _eliminate_units(rows if sparse else _entries(rows))
     return (1,) * pivots + _residual_factors(residual)
 
 
@@ -34,11 +48,16 @@ def rank_over_q(rows: Rows) -> int:
     """Rank over Q: the number of nonzero invariant factors over Z."""
     # Same computation as len(smith_diagonal(rows)), through the helpers so
     # that each public function's call count stays its own.
-    pivots, residual = _eliminate_units(rows)
+    pivots, residual = _eliminate_units(_entries(rows))
     return pivots + len(_residual_factors(residual))
 
 
-def _eliminate_units(rows: Rows) -> tuple[int, list[dict[int, int]]]:
+def _entries(rows: Rows) -> Iterator[tuple[tuple[int, int], ...]]:
+    """The sparse entries of dense rows."""
+    return (tuple((j, a) for j, a in enumerate(row) if a) for row in rows)
+
+
+def _eliminate_units(rows: Iterable[Entries]) -> tuple[int, list[dict[int, int]]]:
     """Pivot on unit entries while any is left; return (#pivots, residual rows)."""
     matrix = _SparseMatrix(rows)
     pivots = 0
@@ -60,12 +79,12 @@ class _SparseMatrix:
     those rows and the pivot row meet, so only those are pushed again.
     """
 
-    def __init__(self, rows: Rows):
+    def __init__(self, rows: Iterable[Entries]):
         self.rows: dict[int, dict[int, int]] = {}
         self.cols: dict[int, set[int]] = {}
         # A repeated row adds nothing to the row lattice, which alone fixes
         # the nonzero invariant factors, so only its first copy is kept.
-        distinct = dict.fromkeys(tuple((j, a) for j, a in enumerate(row) if a) for row in rows)
+        distinct = dict.fromkeys(map(tuple, rows))
         for i, entries in enumerate(distinct):
             if entries:
                 self.rows[i] = dict(entries)

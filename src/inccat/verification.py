@@ -399,10 +399,10 @@ def check_ses_classification(ctx: FamilyContext, max_size: int) -> CheckResult:
     failures: list[Any] = []
     checked = 0
     for b in objects:
+        epis_to = [(c, [e for e in hom_set(b, c, ctx.mode) if is_epi(e)]) for c in objects]
         for a in objects:
             monos = [m for m in hom_set(a, b, ctx.mode) if is_mono(m)]
-            for c in objects:
-                epis = [e for e in hom_set(b, c, ctx.mode) if is_epi(e)]
+            for c, epis in epis_to:
                 for f in monos:
                     for g in epis:
                         if f.i2 != g.i1:

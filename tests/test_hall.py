@@ -1,13 +1,18 @@
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
 from inccat.category import CategoryObject, short_exact_sequences
-from inccat.errors import FamilyError, TruncationError
+from inccat import hall
+from inccat.errors import FamilyError, IncCatError, TruncationError, VectorError
 from inccat.families import (
     colored_sets_up_to,
     family_from_spec,
@@ -35,6 +40,8 @@ from inccat.hall import (
 from inccat.linalg import smith_diagonal
 from inccat.posets import is_connected, relabel_by
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+
 
 @pytest.fixture(scope="module")
 def fin():
@@ -44,6 +51,17 @@ def fin():
 @pytest.fixture(scope="module")
 def sets():
     return sets_up_to(8)
+
+
+def dense_relations(pres):
+    """The sparse relation rows of a K0 presentation, as dense lists."""
+    rows = []
+    for row in pres.relations:
+        dense = [0] * len(pres.generators)
+        for j, a in row:
+            dense[j] += a
+        rows.append(dense)
+    return rows
 
 
 def cls_by_covers(ctx, size, n_covers):
@@ -341,20 +359,37 @@ class TestK0:
         assert not pres.relations_contain(vec)
 
     def test_membership_matches_two_smith_forms(self):
-        # Oracle: compare the invariant factors before and after appending v.
-        fin = fin_up_to(3)
-        pres = k0_truncated(fin, 3)
-        rows = [list(r) for r in pres.relations]
-        base = smith_diagonal(rows)
-        vectors = [pres.class_vector(cls) for cls in pres.generators]
-        answers = set()
-        for i, u in enumerate(vectors):
-            for w in vectors[i + 1:]:
-                v = [a - b for a, b in zip(u, w)]
-                expected = base == smith_diagonal(rows + [v])
-                assert pres.relations_contain(v) == expected
-                answers.add(expected)
-        assert answers == {True, False}
+        # Oracle: compare the invariant factors before and after appending v,
+        # on sums and differences of two generators and on k times a point.
+        # Every pair is asked up to 30 generators; beyond that (cforests:2 at
+        # cutoffs 3 and 4, 36 and 143 generators) each generator is paired
+        # with the one before it, since one oracle query there costs 20-40 ms.
+        # Repeated rows leave the lattice unchanged, so the oracle drops them.
+        for spec in ("fin", "forests", "csets:2", "cforests:2"):
+            ctx = family_from_spec(spec, 4)
+            answers = set()
+            for cutoff in range(5):
+                pres = k0_truncated(ctx, cutoff)
+                rows = [list(r) for r in sorted(set(map(tuple, dense_relations(pres))))]
+                base = smith_diagonal(rows)
+                vectors = [pres.class_vector(cls) for cls in pres.generators]
+                if len(vectors) <= 30:
+                    pairs = [(u, w) for i, u in enumerate(vectors) for w in vectors[i + 1:]]
+                else:
+                    pairs = list(zip(vectors[1:], vectors))
+                queries = [
+                    [a + sign * b for a, b in zip(u, w)] for u, w in pairs for sign in (1, -1)
+                ]
+                queries += [
+                    [k * a for a in pres.class_vector(point)]
+                    for point in ctx.classes(1) if cutoff >= 1
+                    for k in (-2, 0, 1, 3)
+                ]
+                for v in queries:
+                    expected = base == smith_diagonal(rows + [v])
+                    assert pres.relations_contain(v) == expected, (spec, cutoff, v)
+                    answers.add(expected)
+            assert answers == {True, False}, spec
 
     def test_colored_sets_rank_k(self):
         for k in (2, 3):
@@ -374,8 +409,15 @@ class TestK0:
         fin = fin_up_to(3)
         pres = k0_truncated(fin, 3)
         assert pres.relations
-        for row in pres.relations:
+        for row in dense_relations(pres):
             assert sum(c * cls.size for c, cls in zip(row, pres.generators)) == 0
+
+    def test_relations_are_sorted_nonzero_entries(self):
+        pres = k0_truncated(fin_up_to(4), 4)
+        for row in pres.relations:
+            columns = [j for j, _ in row]
+            assert 1 <= len(row) <= 3 and columns == sorted(set(columns))
+            assert all(a and 0 <= j < len(pres.generators) for j, a in row)
 
     @pytest.mark.parametrize("spec", ["fin", "forests", "csets:2", "cforests:2"])
     def test_relations_match_short_exact_sequences(self, spec):
@@ -394,7 +436,7 @@ class TestK0:
                         pres.class_vector(cls),
                     )
                     expected[tuple(a + b - c for a, b, c in ends)] += 1
-            assert Counter(pres.relations) == expected, (spec, cutoff)
+            assert Counter(map(tuple, dense_relations(pres))) == expected, (spec, cutoff)
 
     def test_truncation(self):
         with pytest.raises(TruncationError):
@@ -403,6 +445,70 @@ class TestK0:
     def test_negative_cutoff(self):
         with pytest.raises(FamilyError):
             k0_truncated(fin_up_to(2), -1)
+
+    @pytest.mark.parametrize(
+        "vector",
+        [[0] * 8, [0] * 10, [0.0] * 9, [0] * 8 + [1.0], ["0"] * 9],
+        ids=["short", "long", "floats", "one-float", "strings"],
+    )
+    def test_query_must_be_an_int_vector_over_the_generators(self, vector):
+        pres = k0_truncated(fin_up_to(4), 3)
+        assert len(pres.generators) == 9
+        with pytest.raises(VectorError):
+            pres.relations_contain(vector)
+
+    def test_class_vector_above_cutoff(self):
+        fin = fin_up_to(4)
+        pres = k0_truncated(fin, 3)
+        with pytest.raises(TruncationError):
+            pres.class_vector(fin.classes(4)[0])
+
+    def test_class_vector_outside_family(self):
+        pres = k0_truncated(sets_up_to(3), 3)
+        with pytest.raises(FamilyError):
+            pres.class_vector(cls_by_covers(fin_up_to(2), 2, 1))
+
+    def test_missing_certificate_row_raises(self, monkeypatch):
+        # Without the splits of a point off each size-2 class, the
+        # certificate cannot reach those classes.
+        def no_point_splits(ctx, total):
+            table = real_split_index(ctx, total)
+            if total != 2:
+                return table
+            return {pair: e for pair, e in table.items() if pair[0].size != 1}
+
+        real_split_index = hall.split_index
+        monkeypatch.setattr(hall, "split_index", no_point_splits)
+        with pytest.raises(IncCatError, match="single point"):
+            k0_truncated(fin_up_to(3), 3)
+
+    def test_smith_form_disagreeing_with_the_certificate_raises(self, monkeypatch):
+        # Dropping the splits with an empty side frees the empty class:
+        # the point splits remain, but the free rank becomes 2.
+        def no_empty_splits(ctx, total):
+            table = real_split_index(ctx, total)
+            return {pair: e for pair, e in table.items() if pair[0].size and pair[1].size}
+
+        real_split_index = hall.split_index
+        monkeypatch.setattr(hall, "split_index", no_empty_splits)
+        with pytest.raises(IncCatError, match="free rank 2"):
+            k0_truncated(fin_up_to(3), 3)
+
+    def test_queries_do_not_load_sympy(self):
+        code = (
+            "import sys\n"
+            "from inccat import fin_up_to, k0_truncated\n"
+            "ctx = fin_up_to(5)\n"
+            "pres = k0_truncated(ctx, 5)\n"
+            "big, point = ctx.classes(5)[0], ctx.classes(1)[0]\n"
+            "vec = [a - 5 * b for a, b in zip(pres.class_vector(big), pres.class_vector(point))]\n"
+            "assert pres.relations_contain(vec)\n"
+            "assert not pres.relations_contain(pres.class_vector(big))\n"
+            "sys.exit('sympy' in sys.modules)\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def random_elements(ctx, max_degree=3):

@@ -30,6 +30,14 @@ def sympy_factors(rows):
     return tuple(int(d) for d in invariant_factors(Matrix(rows), domain=ZZ) if d != 0)
 
 
+def dense(entries, width):
+    """A sparse row of ``(column, value)`` entries as a dense list."""
+    row = [0] * width
+    for j, a in entries:
+        row[j] += a
+    return row
+
+
 def sympy_rank(rows):
     return Matrix(rows).rank() if rows and rows[0] else 0
 
@@ -57,6 +65,8 @@ class TestAgainstSympy:
     def test_matches_sympy(self, rows):
         assert smith_diagonal(rows) == sympy_factors(rows)
         assert rank_over_q(rows) == sympy_rank(rows)
+        entries = [tuple((j, a) for j, a in enumerate(row) if a) for row in rows]
+        assert smith_diagonal(entries, sparse=True) == sympy_factors(rows)
 
     def test_torsion(self):
         assert smith_diagonal([[2, 0], [0, 6]]) == (2, 6)
@@ -81,11 +91,14 @@ def test_k0_relation_matrices_exhaustive(spec):
     ctx = family_from_spec(spec, 4)
     for cutoff in range(5):
         pres = k0_truncated(ctx, cutoff)
-        rows = [list(r) for r in pres.relations]
+        rows = [dense(r, len(pres.generators)) for r in pres.relations]
         extended = rows + [pres.class_vector(pres.generators[-1])]
-        for matrix in (rows, extended):
+        last = ((len(pres.generators) - 1, 1),)
+        for matrix, sparse in ((rows, pres.relations), (extended, [*pres.relations, last])):
             distinct = [list(r) for r in sorted(set(map(tuple, matrix)))]
-            assert smith_diagonal(matrix) == sympy_factors(distinct), (spec, cutoff)
+            expected = sympy_factors(distinct)
+            assert smith_diagonal(matrix) == expected, (spec, cutoff)
+            assert smith_diagonal(sparse, sparse=True) == expected, (spec, cutoff)
 
 
 def test_import_does_not_load_sympy():
