@@ -415,7 +415,7 @@ class K0Presentation:
                     f"class {cls.hex_key} of family {ctx.name!r} has no relation "
                     "splitting off a single point"
                 )
-        self.smith_diagonal: tuple[int, ...] = linalg.smith_diagonal(self.relations, sparse=True)
+        self.smith_diagonal: tuple[int, ...] = linalg.smith_diagonal(self.relations)
         points = sum(cls.size == 1 for cls in self.generators)
         if self.free_rank != points or self.torsion:
             raise IncCatError(

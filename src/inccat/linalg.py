@@ -15,9 +15,9 @@ nnz - 1)`` goes first, which keeps the fill-in small.  A residual block
 with no unit entry left, if any, goes to sympy's ``invariant_factors``;
 sympy is imported only then.  Every value is a Python int throughout.
 
-A matrix comes in dense, as rows of ints, or sparse, as rows of
-``(column, value)`` entries.  Dense rows are converted to the same entries,
-so both reach the one elimination.  The truncated K0 relations of
+A row comes in dense, as a sequence of ints, or sparse, as a sequence of
+``(column, value)`` entries; the items of the row tell which.  Dense rows
+are converted to the same entries, so both reach the one elimination.  The truncated K0 relations of
 ``hall.K0Presentation`` come sparse, straight from the split index: on
 fin:7 at cutoff 7 that is 54,724 rows of at most 3 entries over 2,451
 columns.  ``inccat k0`` on it took 13.8 s and 884 MB peak RSS with dense
@@ -35,12 +35,12 @@ Rows = Sequence[Sequence[int]]
 Entries = Sequence[tuple[int, int]]
 
 
-def smith_diagonal(rows: Rows | Sequence[Entries], *, sparse: bool = False) -> tuple[int, ...]:
+def smith_diagonal(rows: Sequence[Sequence[int] | Entries]) -> tuple[int, ...]:
     """Nonzero invariant factors d1 | d2 | ... of an integer matrix.
 
-    With ``sparse=True`` each row is given by its ``(column, value)`` entries.
+    Each row is dense ints or sparse ``(column, value)`` entries.
     """
-    pivots, residual = _eliminate_units(rows if sparse else _entries(rows))
+    pivots, residual = _eliminate_units(_entries(rows))
     return (1,) * pivots + _residual_factors(residual)
 
 
@@ -52,9 +52,12 @@ def rank_over_q(rows: Rows) -> int:
     return pivots + len(_residual_factors(residual))
 
 
-def _entries(rows: Rows) -> Iterator[tuple[tuple[int, int], ...]]:
-    """The sparse entries of dense rows."""
-    return (tuple((j, a) for j, a in enumerate(row) if a) for row in rows)
+def _entries(rows: Sequence[Sequence[int] | Entries]) -> Iterator[Entries]:
+    """Each row as its sparse entries; a row of ints is converted."""
+    for row in rows:
+        if row and not isinstance(row[0], tuple):
+            row = tuple((j, a) for j, a in enumerate(row) if a)
+        yield row
 
 
 def _eliminate_units(rows: Iterable[Entries]) -> tuple[int, list[dict[int, int]]]:

@@ -66,7 +66,9 @@ class TestAgainstSympy:
         assert smith_diagonal(rows) == sympy_factors(rows)
         assert rank_over_q(rows) == sympy_rank(rows)
         entries = [tuple((j, a) for j, a in enumerate(row) if a) for row in rows]
-        assert smith_diagonal(entries, sparse=True) == sympy_factors(rows)
+        assert smith_diagonal(entries) == sympy_factors(rows)
+        mixed = [e if i % 2 else r for i, (r, e) in enumerate(zip(rows, entries))]
+        assert smith_diagonal(mixed) == sympy_factors(rows)
 
     def test_torsion(self):
         assert smith_diagonal([[2, 0], [0, 6]]) == (2, 6)
@@ -98,7 +100,7 @@ def test_k0_relation_matrices_exhaustive(spec):
             distinct = [list(r) for r in sorted(set(map(tuple, matrix)))]
             expected = sympy_factors(distinct)
             assert smith_diagonal(matrix) == expected, (spec, cutoff)
-            assert smith_diagonal(sparse, sparse=True) == expected, (spec, cutoff)
+            assert smith_diagonal(sparse) == expected, (spec, cutoff)
 
 
 def test_import_does_not_load_sympy():
