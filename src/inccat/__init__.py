@@ -7,6 +7,7 @@ in exact rational arithmetic.
 """
 
 from .errors import (
+    CoefficientError,
     CompositionError,
     CycleError,
     FamilyError,

@@ -40,3 +40,7 @@ class TruncationError(FamilyError):
 
 class VectorError(IncCatError):
     """A vector does not fit the generators it is read against."""
+
+
+class CoefficientError(IncCatError):
+    """A coefficient or scalar is not exact: neither an int nor a Fraction."""

@@ -97,8 +97,9 @@ class FamilyContext:
     the index is closed under convex subposets and disjoint unions.
 
     ``memo`` holds the tables of results that depend on the context (the
-    Hall split index per degree, antipodes, interval classes and the
-    composition table of the category checks), one named entry each;
+    Hall split index per degree, the split tables of component classes,
+    antipodes, interval classes and the composition table of the
+    category checks), one named entry each;
     they live and die with the context.
     """
 

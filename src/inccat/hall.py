@@ -10,27 +10,48 @@ and the coproduct is dual to the monoidal sum:
 
     Delta(f)([M], [N]) = f([M (+) N]).
 
-Everything is exact: coefficients are ``fractions.Fraction``.  The
-algebra is graded by poset size and connected in degree zero, so the
-counit is evaluation at the empty class and the antipode is the standard
-graded recursion over the reduced coproduct.  A family context supplies
-the classes of each degree; ``split_index`` inverts their ideal splits
-into an index from (sub, quotient) class pairs to the classes they
-assemble, read by ``product``, ``K0Presentation`` and ``inccat constants``.
+Everything is exact: coefficients are ``fractions.Fraction``, and only
+ints and Fractions are accepted as coefficients or scalars.  The algebra
+is graded by poset size and connected in degree zero, so the counit is
+evaluation at the empty class and the antipode is the standard graded
+recursion over the reduced coproduct.  A family context supplies the
+classes of each degree; ``split_index`` inverts their ideal splits into
+an index from (sub, quotient) class pairs to the classes they assemble,
+read by ``product``, ``K0Presentation`` and ``inccat constants``.
 Computations beyond the context's cutoff raise ``TruncationError``.
+
+Disjoint unions are handled at the level of canonical keys: the key of
+P (+) Q is the sorted component keys of P and Q
+(``posets.union_key``).  So the coproduct walks the sub-multisets of a
+class's components, and the split table of a disconnected class is the
+convolution of its components' tables, since the ideals of P (+) Q are
+the pairs of ideals of P and Q.  A connected class walks its ideals and
+looks up each side with ``posets.subset_key``, which builds a subposet
+only when its key has not been computed yet.  The poset-building
+routes stay as test oracles, and ``structure_constant`` stays an
+independent check by explicit isomorphism search.
 """
 
 from __future__ import annotations
 
+import itertools
 import operator
+from collections import Counter
 from fractions import Fraction
 from typing import Sequence
 
 from . import linalg
-from .errors import FamilyError, IncCatError, TruncationError, VectorError
+from .errors import CoefficientError, FamilyError, IncCatError, TruncationError, VectorError
 from .families import FamilyContext, IsoClass
 from .ideals import order_ideals
-from .posets import connected_components, find_isomorphisms, induced_subposet, is_connected
+from .posets import (
+    component_keys,
+    find_isomorphisms,
+    induced_subposet,
+    is_connected,
+    subset_key,
+    union_key,
+)
 
 Scalar = int | Fraction
 
@@ -48,7 +69,8 @@ class Combination:
     def __init__(self, coeffs: dict | None = None):
         clean = {}
         for key, value in (coeffs or {}).items():
-            value = Fraction(value)
+            if type(value) is not Fraction:
+                value = Fraction(_exact(value))
             if value:
                 clean[key] = value
         self.coeffs: dict = clean
@@ -96,7 +118,8 @@ class Combination:
         return type(self)({key: -value for key, value in self.coeffs.items()})
 
     def __mul__(self, scalar: Scalar):
-        return type(self)({key: value * Fraction(scalar) for key, value in self.coeffs.items()})
+        scalar = _exact(scalar)
+        return type(self)({key: value * scalar for key, value in self.coeffs.items()})
 
     __rmul__ = __mul__
 
@@ -104,6 +127,20 @@ class Combination:
         if not self.coeffs:
             return "0"
         return " + ".join(f"{v}*{k!r}" for k, v in self.coeffs.items())
+
+
+def _exact(value: object) -> Scalar:
+    """The value itself if it is an int or a Fraction; anything else raises.
+
+    A float or a string would be converted silently (0.1 becomes
+    3602879701896397/36028797018963968), so they are refused; so is a
+    bool, which is an int only by inheritance.
+    """
+    if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
+        return value
+    raise CoefficientError(
+        f"coefficients and scalars must be int or Fraction, got {type(value).__name__} {value!r}"
+    )
 
 
 class HallElement(Combination):
@@ -135,9 +172,10 @@ def unit(ctx: FamilyContext) -> HallElement:
 def split_index(ctx: FamilyContext, total: int) -> dict:
     """(class of X_I, class of X_{R\\I}) -> ((R, number of such I), ...).
 
-    Inverts the ideal splits of every class R of size ``total``, so the
-    entry for (P, Q) lists each R with N(P,Q;R) > 0: a product visits only
-    the classes its factors can reach.  Computed once per degree and context.
+    Inverts the ideal splits of every class R of size ``total`` (see
+    :func:`_split_counts`), so the entry for (P, Q) lists each R with
+    N(P,Q;R) > 0: a product visits only the classes its factors can
+    reach.  Computed once per degree and context.
     """
     table = ctx.memo.setdefault("splits", {})
     hit = table.get(total)
@@ -145,18 +183,82 @@ def split_index(ctx: FamilyContext, total: int) -> dict:
         return hit
     index: dict[tuple[IsoClass, IsoClass], list] = {}
     for r_cls in ctx.classes(total):
-        rep = r_cls.representative
-        counts: dict[tuple[IsoClass, IsoClass], int] = {}
-        for ideal in order_ideals(rep).ideals:
-            sub, _ = induced_subposet(rep, ideal)
-            rest, _ = induced_subposet(rep, rep.full_mask & ~ideal)
-            pair = (ctx.class_of(sub), ctx.class_of(rest))
-            counts[pair] = counts.get(pair, 0) + 1
-        for pair, n in counts.items():
+        for pair, n in _split_counts(ctx, r_cls).items():
             index.setdefault(pair, []).append((r_cls, n))
     result = {pair: tuple(entries) for pair, entries in index.items()}
     table[total] = result
     return result
+
+
+def _split_counts(ctx: FamilyContext, r_cls: IsoClass) -> dict:
+    """(class of X_I, class of X_{R\\I}) -> number of ideals I of R.
+
+    A connected R walks its ideals.  The ideals of a disjoint union are
+    the tuples of ideals of its components, and X_I is the disjoint union
+    of the components' pieces, so a disconnected R convolves the tables
+    of its components, joining component keys on each side.  Only the
+    tables of connected classes below the cutoff are kept (in
+    ``ctx.memo["component_splits"]``): those are the classes that can be
+    components of a class of the context.
+    """
+    table = ctx.memo.setdefault("component_splits", {})
+    hit = table.get(r_cls)
+    if hit is not None:
+        return hit
+    parts = component_keys(r_cls.key)
+    if len(parts) > 1:
+        return _convolved_splits(ctx, parts)
+    counts = _ideal_splits(ctx, r_cls)
+    if parts and r_cls.size < ctx.max_size:
+        table[r_cls] = counts
+    return counts
+
+
+def _ideal_splits(ctx: FamilyContext, r_cls: IsoClass) -> dict:
+    """The split table of R by its ideals, each side a key looked up in the index."""
+    rep, mode = r_cls.representative, ctx.mode
+    full = rep.full_mask
+    counts: dict[tuple[IsoClass, IsoClass], int] = {}
+    for ideal in order_ideals(rep).ideals:
+        pair = (
+            _class_of_key(ctx, subset_key(rep, ideal, mode)),
+            _class_of_key(ctx, subset_key(rep, full & ~ideal, mode)),
+        )
+        counts[pair] = counts.get(pair, 0) + 1
+    return counts
+
+
+def _convolved_splits(ctx: FamilyContext, parts: tuple[bytes, ...]) -> dict:
+    """The split table of the disjoint union of the connected classes ``parts``.
+
+    Sides are sorted tuples of component keys while the convolution runs,
+    so equal pieces merge, and each is joined and looked up once at the end.
+    """
+    acc: dict[tuple[tuple[bytes, ...], tuple[bytes, ...]], int] = {((), ()): 1}
+    for part, m in Counter(parts).items():
+        pieces = [
+            (component_keys(p_cls.key), component_keys(q_cls.key), n)
+            for (p_cls, q_cls), n in _split_counts(ctx, _class_of_key(ctx, part)).items()
+        ]
+        for _ in range(m):
+            step: dict[tuple[tuple[bytes, ...], tuple[bytes, ...]], int] = {}
+            for (left, right), a in acc.items():
+                for p_parts, q_parts, n in pieces:
+                    pair = (tuple(sorted(left + p_parts)), tuple(sorted(right + q_parts)))
+                    step[pair] = step.get(pair, 0) + a * n
+            acc = step
+    return {
+        (_class_of_key(ctx, union_key(left)), _class_of_key(ctx, union_key(right))): n
+        for (left, right), n in acc.items()
+    }
+
+
+def _class_of_key(ctx: FamilyContext, key: bytes) -> IsoClass:
+    """The class with canonical key ``key``; a piece of a member must be one."""
+    cls = ctx._by_key.get(key)
+    if cls is None:
+        raise FamilyError(f"a convex piece of a class is not a member of family {ctx.name!r}")
+    return cls
 
 
 def product(f: HallElement, g: HallElement, ctx: FamilyContext) -> HallElement:
@@ -213,30 +315,22 @@ def coproduct(f: HallElement, ctx: FamilyContext) -> TensorElement:
     """Delta(f)([M],[N]) = f([M (+) N]).
 
     Per support class, the pairs with a nonzero coefficient are exactly
-    the ordered splittings of the connected components into two groups;
-    each distinct pair of classes receives the value of f on the support
-    class (not a multiplicity count -- the coefficient is an evaluation).
+    the ways to split its multiset of connected components in two: with
+    distinct component keys of multiplicities m_1..m_r, the sub-multisets
+    give prod (m_i + 1) distinct pairs, each side one key join and one
+    lookup.  Each pair receives the value of f on the support class (not a
+    multiplicity count -- the coefficient is an evaluation).
     """
     out: dict[tuple[IsoClass, IsoClass], Fraction] = {}
     for cls, value in f.items():
-        rep = cls.representative
-        comps = connected_components(rep)
-        m = len(comps)
-        seen: set[tuple[IsoClass, IsoClass]] = set()
-        for pick in range(1 << m):
-            left_mask = 0
-            for i in range(m):
-                if (pick >> i) & 1:
-                    left_mask |= comps[i]
-            right_mask = rep.full_mask & ~left_mask
-            left, _ = induced_subposet(rep, left_mask)
-            right, _ = induced_subposet(rep, right_mask)
-            pair = (ctx.class_of(left), ctx.class_of(right))
-            if pair not in seen:
-                seen.add(pair)
-                # a pair of classes determines the reassembled union up to
-                # isomorphism, so this never collides across support classes
-                out[pair] = value
+        counts = Counter(component_keys(cls.key))
+        parts, mults = list(counts), list(counts.values())
+        for pick in itertools.product(*(range(m + 1) for m in mults)):
+            left = [part for part, a in zip(parts, pick) for _ in range(a)]
+            right = [part for part, a, m in zip(parts, pick, mults) for _ in range(m - a)]
+            # a pair of classes determines the reassembled union up to
+            # isomorphism, so this never collides across support classes
+            out[(_class_of_key(ctx, union_key(left)), _class_of_key(ctx, union_key(right)))] = value
     return TensorElement(out)
 
 

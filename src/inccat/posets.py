@@ -13,7 +13,10 @@ isomorphisms, or only the color-preserving ones.  Canonical forms are
 byte strings, deterministic across runs and platforms, whose first byte
 is a tag: 0 or 1 (all or color-preserving isomorphisms) for a connected
 poset, 2 or 3 for a disconnected one.  A disconnected key lists the
-sorted keys of its connected components, mirroring the disjoint union.
+sorted keys of its connected components, mirroring the disjoint union;
+:func:`component_keys` and :func:`union_key` parse and join that
+layout, and :func:`subset_key` reads the key of a subposet from the
+memo, building the subposet only on a miss.
 A connected key holds the lexicographically least serialized relation
 matrix over permutations that respect an invariant-based pre-partition
 of the elements, found by a branch-and-bound search.  The search prunes
@@ -354,25 +357,34 @@ def induced_subposet(p: Poset, mask: int) -> tuple[Poset, tuple[int, ...]]:
     """
     if mask & ~p.full_mask:
         raise PosetError("subset references elements out of range")
-    p_leq, p_labels, p_colors = p.leq, p.labels, p.colors
-    elements, leq, labels, colors = [], [], [], []
+    rows, elements = _restricted_rows(p.leq, mask)
+    labels, colors = p.labels, p.colors
+    labels = tuple([labels[e] for e in elements])
+    colors = tuple([colors[e] for e in elements])
+    return _derived_poset(rows, labels, colors), tuple(elements)
+
+
+def _restricted_rows(leq: tuple[int, ...], mask: int) -> tuple[tuple[int, ...], list[int]]:
+    """The relation rows restricted to ``mask`` and reindexed, and its elements.
+
+    The new index of an element is the number of mask bits below it, so
+    new indices follow the ascending order of the original ones.
+    """
+    elements, rows = [], []
     rest = mask
     while rest:
         low = rest & -rest
         rest ^= low
         e = low.bit_length() - 1
         elements.append(e)
-        labels.append(p_labels[e])
-        colors.append(p_colors[e])
-        # The new index of an element is the number of mask bits below it.
-        up = p_leq[e] & mask
+        up = leq[e] & mask
         row = 0
         while up:
             j = up & -up
             up ^= j
             row |= 1 << (mask & (j - 1)).bit_count()
-        leq.append(row)
-    return _derived_poset(tuple(leq), tuple(labels), tuple(colors)), tuple(elements)
+        rows.append(row)
+    return tuple(rows), elements
 
 
 def is_convex(p: Poset, mask: int) -> bool:
@@ -575,15 +587,73 @@ def canonical_form(p: Poset, mode: MapMode = MapMode.ALL_POSET_ISOS) -> bytes:
     hit = _canonical_keys.get(memo_key)
     if hit is not None:
         return hit
-    tag = 0 if mode is MapMode.ALL_POSET_ISOS else 1
     components = connected_components(p)
     if len(components) > 1:
-        parts = sorted(canonical_form(induced_subposet(p, c)[0], mode) for c in components)
-        key = bytes([tag + 2, p.size]) + b"".join(parts)
+        key = union_key([canonical_form(induced_subposet(p, c)[0], mode) for c in components])
     else:
-        key = _connected_key(p, mode, colors, tag)
+        key = _connected_key(p, mode, colors, 0 if mode is MapMode.ALL_POSET_ISOS else 1)
     _canonical_keys[memo_key] = key
     return key
+
+
+def subset_key(p: Poset, mask: int, mode: MapMode = MapMode.ALL_POSET_ISOS) -> bytes:
+    """``canonical_form(induced_subposet(p, mask)[0], mode)``, built only on a miss.
+
+    Restricts the relation rows (and the colors, in color-preserving
+    mode) and looks them up under the memo key of :func:`canonical_form`;
+    only on a miss is the subposet built and its key computed there, so
+    there is still one way to compute a key.
+    """
+    if mask & ~p.full_mask:
+        raise PosetError("subset references elements out of range")
+    if not mask:
+        return b""
+    rows, elements = _restricted_rows(p.leq, mask)
+    if mode is MapMode.COLOR_PRESERVING_ISOS:
+        p_colors = p.colors
+        colors = tuple([p_colors[e] for e in elements])
+    else:
+        colors = (0,) * len(rows)
+    hit = _canonical_keys.get((mode, rows, colors))
+    if hit is not None:
+        return hit
+    return canonical_form(induced_subposet(p, mask)[0], mode)
+
+
+def component_keys(key: bytes) -> tuple[bytes, ...]:
+    """The sorted keys of the connected components of a key's poset.
+
+    The inverse of :func:`union_key`: the empty key has no components, a
+    connected key is its own single component, and a disconnected key is
+    cut into the component keys it lists.
+    """
+    if not key:
+        return ()
+    if key[0] < 2:
+        return (key,)
+    out = []
+    start, end = 2, len(key)
+    while start < end:
+        # tag and size, the colors in color-preserving mode, n * n matrix bits
+        tag, n = key[start], key[start + 1]
+        stop = start + 2 + (n if tag == 1 else 0) + (n * n + 7) // 8
+        out.append(key[start:stop])
+        start = stop
+    return tuple(out)
+
+
+def union_key(parts: Iterable[bytes]) -> bytes:
+    """The key of a disjoint union, from the keys of its connected components.
+
+    ``parts`` are connected keys of one map mode, in any order and with
+    repeats; P + Q has key ``union_key(component_keys(kP) +
+    component_keys(kQ))``.  A disconnected key is the tag 2 or 3, the
+    total size and the sorted component keys (see :func:`canonical_form`).
+    """
+    parts = sorted(parts)
+    if len(parts) < 2:
+        return parts[0] if parts else b""
+    return bytes([parts[0][0] + 2, sum(part[1] for part in parts)]) + b"".join(parts)
 
 
 def _connected_key(p: Poset, mode: MapMode, colors: tuple[int, ...], tag: int) -> bytes:

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 
 from inccat.category import CategoryObject, short_exact_sequences
 from inccat import hall
-from inccat.errors import FamilyError, IncCatError, TruncationError, VectorError
+from inccat.errors import CoefficientError, FamilyError, IncCatError, TruncationError, VectorError
 from inccat.families import (
     colored_sets_up_to,
     family_from_spec,
@@ -33,12 +33,14 @@ from inccat.hall import (
     primitive_basis,
     product,
     reduced_coproduct,
+    split_index,
     structure_constant,
     tensor_product,
     unit,
 )
 from inccat.linalg import smith_diagonal
-from inccat.posets import is_connected, relabel_by
+from inccat.ideals import order_ideals
+from inccat.posets import connected_components, induced_subposet, is_connected, relabel_by
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -72,7 +74,66 @@ def cls_by_covers(ctx, size, n_covers):
     return matches[0]
 
 
+def ideal_walk_split_index(ctx, total):
+    """Oracle for ``split_index``: build and classify both sides of every ideal.
+
+    Every class walks its ideals, with no convolution over components and
+    no key lookup without a poset, so the two routes check each other.
+    """
+    index = {}
+    for r_cls in ctx.classes(total):
+        rep = r_cls.representative
+        counts = {}
+        for ideal in order_ideals(rep).ideals:
+            sub, _ = induced_subposet(rep, ideal)
+            rest, _ = induced_subposet(rep, rep.full_mask & ~ideal)
+            pair = (ctx.class_of(sub), ctx.class_of(rest))
+            counts[pair] = counts.get(pair, 0) + 1
+        for pair, n in counts.items():
+            index.setdefault(pair, []).append((r_cls, n))
+    return {pair: tuple(entries) for pair, entries in index.items()}
+
+
+def subset_loop_coproduct(f, ctx):
+    """Oracle for ``coproduct``: all 2^m subsets of the m components, built and classified."""
+    out = {}
+    for cls, value in f.items():
+        rep = cls.representative
+        comps = connected_components(rep)
+        for pick in range(1 << len(comps)):
+            left_mask = 0
+            for i, comp in enumerate(comps):
+                if (pick >> i) & 1:
+                    left_mask |= comp
+            left, _ = induced_subposet(rep, left_mask)
+            right, _ = induced_subposet(rep, rep.full_mask & ~left_mask)
+            out[(ctx.class_of(left), ctx.class_of(right))] = value
+    return TensorElement(out)
+
+
 class TestElements:
+    @pytest.mark.parametrize("bad", [0.1, 0.5, "1/2", None, 1j, True])
+    def test_inexact_coefficient_is_refused(self, fin, bad):
+        dot = fin.classes(1)[0]
+        with pytest.raises(CoefficientError):
+            HallElement({dot: bad})
+        with pytest.raises(CoefficientError):
+            TensorElement({(dot, dot): bad})
+
+    @pytest.mark.parametrize("bad", [0.5, "1/2", None, True])
+    def test_inexact_scalar_is_refused(self, fin, bad):
+        f = delta(fin.classes(1)[0])
+        with pytest.raises(CoefficientError):
+            f * bad
+        with pytest.raises(CoefficientError):
+            bad * f
+
+    def test_exact_coefficients_are_stored_as_fractions(self, fin):
+        dot = fin.classes(1)[0]
+        f = HallElement({dot: 3}) * Fraction(1, 2)
+        assert f.coeffs == {dot: Fraction(3, 2)}
+        assert all(type(v) is Fraction for v in (2 * HallElement({dot: 1})).coeffs.values())
+
     def test_delta_support(self, fin):
         d = delta(fin.classes(1)[0])
         assert len(d.coeffs) == 1 and d.coeff(fin.classes(1)[0]) == 1
@@ -237,6 +298,38 @@ class TestCoproduct:
         ac2 = cls_by_covers(fin, 2, 0)
         dot = fin.classes(1)[0]
         assert reduced_coproduct(delta(ac2), fin) == TensorElement({(dot, dot): 1})
+
+
+# Contexts on which the key-level split index and coproduct are compared
+# with the oracles above, on every degree and every class.
+KEY_LEVEL_SPECS = [("fin", 6), ("forests", 7), ("csets:2", 5), ("cforests:2", 4), ("sets", 10)]
+
+
+class TestKeyLevelUnions:
+    @pytest.mark.parametrize("spec, max_size", KEY_LEVEL_SPECS)
+    def test_split_index_matches_ideal_walk(self, spec, max_size):
+        ctx = family_from_spec(spec, max_size)
+        for total in range(max_size + 1):
+            assert split_index(ctx, total) == ideal_walk_split_index(ctx, total)
+
+    @pytest.mark.parametrize("spec, max_size", KEY_LEVEL_SPECS)
+    def test_coproduct_matches_subset_loop(self, spec, max_size):
+        ctx = family_from_spec(spec, max_size)
+        classes = ctx.all_classes()
+        for cls in classes:
+            assert coproduct(delta(cls), ctx) == subset_loop_coproduct(delta(cls), ctx)
+        f = HallElement({cls: i + 1 for i, cls in enumerate(classes)})
+        assert coproduct(f, ctx) == subset_loop_coproduct(f, ctx)
+
+    def test_sets_up_to_20(self):
+        # 2^20 subsets and ideals for the oracles; prod (m_i + 1) = 21 here.
+        ctx = sets_up_to(20)
+        (top,), (ten,) = ctx.classes(20), ctx.classes(10)
+        cp = coproduct(delta(top), ctx)
+        by_size = [group[0] for group in ctx.classes_by_size]
+        assert cp == TensorElement({(by_size[k], by_size[20 - k]): 1 for k in range(21)})
+        assert product(delta(ten), delta(ten), ctx) == HallElement({top: math.comb(20, 10)})
+        assert antipode(delta(top), ctx) == delta(top)  # S(x_n) = (-1)^n x_n
 
 
 class TestTensorProduct:

@@ -3,7 +3,8 @@ change a result.
 
 Value-keyed tables (canonical keys, ideal lattices, hom sets) are module
 dicts that live as long as the process; per-context tables (the Hall
-split index per degree, both antipodes and the interval classes) live in
+split index per degree, the split tables of component classes, both
+antipodes and the interval classes) live in
 ``FamilyContext.memo`` and die with the context.
 """
 
@@ -28,7 +29,13 @@ def test_context_is_collected_after_use():
     product(delta(a), delta(b), ctx)
     antipode(delta(b), ctx)
     schmitt_antipode(phi(delta(b), ctx), ctx)
-    assert set(ctx.memo) == {"splits", "antipode", "schmitt_antipode", "intervals"}
+    assert set(ctx.memo) == {
+        "splits",
+        "component_splits",
+        "antipode",
+        "schmitt_antipode",
+        "intervals",
+    }
     ref = weakref.ref(ctx)
     del ctx
     gc.collect()
@@ -41,17 +48,19 @@ def test_split_index_built_once_per_degree(monkeypatch):
     product(delta(a), delta(b), ctx)
     assert set(ctx.memo["splits"]) == {3}
 
-    calls = []
+    walked = []
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return posets.induced_subposet(*args, **kwargs)
+    def counting(ctx, r_cls):
+        walked.append(r_cls)
+        return real_split_counts(ctx, r_cls)
 
-    monkeypatch.setattr(hall, "induced_subposet", counting)
+    real_split_counts = hall._split_counts
+    monkeypatch.setattr(hall, "_split_counts", counting)
     product(delta(b), delta(a), ctx)
-    assert calls == []
+    assert walked == []
     product(delta(a), delta(a), ctx)
-    assert calls and set(ctx.memo["splits"]) == {2, 3}
+    # the antichain also reads the table of its component, the point
+    assert set(ctx.classes(2)) <= set(walked) and set(ctx.memo["splits"]) == {2, 3}
 
 
 def test_lattice_shared_by_relabelled_and_recoloured_copies():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 
 from conftest import posets
+from inccat import posets as posets_module
 from inccat.errors import CycleError, PosetError, SizeCapError
 from inccat.families import _add_maximal_element, family_from_spec, fin_up_to
 from inccat.ideals import order_ideals
@@ -18,6 +19,7 @@ from inccat.posets import (
     automorphisms,
     canonical_form,
     cartesian_product,
+    component_keys,
     connected_components,
     disjoint_union,
     element_signatures,
@@ -28,6 +30,8 @@ from inccat.posets import (
     is_convex,
     is_convex_via_ideals,
     relabel_by,
+    subset_key,
+    union_key,
 )
 
 ALL = MapMode.ALL_POSET_ISOS
@@ -136,18 +140,6 @@ def unpruned_connected_key(p, mode):
         cell_color = {rank: colors[cells[rank][0]] for rank in cells}
         key += bytes(cell_color[rank] for rank in pos_cell)
     return key + bytes(int(matrix[i:i + 8], 2) for i in range(0, len(matrix), 8))
-
-
-def split_component_keys(key):
-    """Cut the body of a disconnected key into its component keys by their sizes."""
-    body = key[2:]
-    out = []
-    while body:
-        tag, n = body[0], body[1]
-        length = 2 + (n if tag == 1 else 0) + (n * n + 7) // 8
-        out.append(body[:length])
-        body = body[length:]
-    return out
 
 
 def all_labeled_posets(n):
@@ -562,7 +554,34 @@ class TestCanonicalKeyLayout:
         key = canonical_form(p, mode)
         parts = sorted(canonical_form(induced_subposet(p, c)[0], mode) for c in components)
         assert key[:2] == bytes([(2 if mode is ALL else 3), p.size])
-        assert split_component_keys(key) == parts
+        assert component_keys(key) == tuple(parts)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        posets(max_size=6, num_colors=2),
+        posets(max_size=6, num_colors=2),
+        st.sampled_from([ALL, COLOR]),
+    )
+    def test_union_of_component_keys_is_key_of_disjoint_union(self, p, q, mode):
+        parts = component_keys(canonical_form(p, mode)) + component_keys(canonical_form(q, mode))
+        assert union_key(parts) == canonical_form(disjoint_union(p, q)[0], mode)
+
+    @settings(max_examples=100, deadline=None)
+    @given(posets(max_size=7, num_colors=2), st.sampled_from([ALL, COLOR]), st.data())
+    def test_subset_key_is_key_of_induced_subposet(self, p, mode, data):
+        mask = data.draw(st.integers(0, p.full_mask))
+        saved = dict(posets_module._canonical_keys)
+        posets_module._canonical_keys.clear()
+        try:
+            cold = subset_key(p, mask, mode)  # a miss: builds the subposet
+            warm = subset_key(p, mask, mode)  # a hit: rows and colors only
+        finally:
+            posets_module._canonical_keys.update(saved)
+        assert cold == warm == canonical_form(induced_subposet(p, mask)[0], mode)
+
+    def test_subset_key_rejects_elements_out_of_range(self):
+        with pytest.raises(PosetError):
+            subset_key(CHAIN2, 0b100)
 
     @settings(max_examples=150, deadline=None)
     @given(posets(max_size=8, num_colors=3))
