@@ -49,6 +49,7 @@ from .category import (
     cokernel,
     compose,
     direct_sum,
+    epis,
     hom_set,
     identity,
     image,
@@ -58,6 +59,7 @@ from .category import (
     is_irreducible,
     is_mono,
     kernel,
+    monos,
     short_exact_sequences,
     subquotient_correspondence,
     zero_morphism,

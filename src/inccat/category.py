@@ -27,6 +27,7 @@ zero morphism X_{P1} -> X_{P2} is (full ideal, empty ideal, empty map).
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .errors import CompositionError, NotAnIdealError, PosetError
@@ -155,6 +156,35 @@ def zero_morphism(a: CategoryObject, b: CategoryObject, mode: MapMode = MapMode.
 _hom_sets: dict[tuple, tuple[Morphism, ...]] = {}
 
 
+def _morphisms(
+    a: CategoryObject,
+    b: CategoryObject,
+    mode: MapMode,
+    i1s: Iterable[int],
+    i2s_by_size: dict[int, list[int]],
+) -> tuple[Morphism, ...]:
+    """Every (I1, I2, f): a -> b with I1 in ``i1s`` and I2 in ``i2s_by_size``.
+
+    I1 runs in the order given, then I2 among the candidates of size
+    |P1 \\ I1| in the order given, then every admissible isomorphism
+    ordered lexicographically by mapping tuple.
+    """
+    p1, p2 = a.poset, b.poset
+    out: list[Morphism] = []
+    for i1 in i1s:
+        rest = p1.full_mask & ~i1
+        targets = i2s_by_size.get(rest.bit_count())
+        if not targets:
+            continue
+        sub1, elems1 = induced_subposet(p1, rest)
+        for i2 in targets:
+            sub2, elems2 = induced_subposet(p2, i2)
+            for iso in find_isomorphisms(sub1, sub2, mode):
+                fmap = tuple(elems2[iso.mapping[k]] for k in range(len(elems1)))
+                out.append(Morphism(a, b, i1, i2, fmap, mode))
+    return tuple(out)
+
+
 def hom_set(a: CategoryObject, b: CategoryObject, mode: MapMode = MapMode.ALL_POSET_ISOS) -> tuple[Morphism, ...]:
     """The complete finite Hom(X_{P1}, X_{P2}) in a deterministic order.
 
@@ -166,22 +196,33 @@ def hom_set(a: CategoryObject, b: CategoryObject, mode: MapMode = MapMode.ALL_PO
     hit = _hom_sets.get(memo_key)
     if hit is not None:
         return hit
-    p1, p2 = a.poset, b.poset
-    out: list[Morphism] = []
     lat2_by_size: dict[int, list[int]] = {}
-    for i2 in order_ideals(p2).ideals:
+    for i2 in order_ideals(b.poset).ideals:
         lat2_by_size.setdefault(i2.bit_count(), []).append(i2)
-    for i1 in order_ideals(p1).ideals:
-        rest = p1.full_mask & ~i1
-        sub1, elems1 = induced_subposet(p1, rest)
-        for i2 in lat2_by_size.get(rest.bit_count(), ()):
-            sub2, elems2 = induced_subposet(p2, i2)
-            for iso in find_isomorphisms(sub1, sub2, mode):
-                fmap = tuple(elems2[iso.mapping[k]] for k in range(len(elems1)))
-                out.append(Morphism(a, b, i1, i2, fmap, mode))
-    result = tuple(out)
+    result = _morphisms(a, b, mode, order_ideals(a.poset).ideals, lat2_by_size)
     _hom_sets[memo_key] = result
     return result
+
+
+def monos(a: CategoryObject, b: CategoryObject, mode: MapMode = MapMode.ALL_POSET_ISOS) -> tuple[Morphism, ...]:
+    """The monos a -> b: the triples with I1 empty, I2 any ideal of size |a|.
+
+    Equal to ``hom_set(a, b, mode)`` filtered by :func:`is_mono`, in the
+    same order, without building the rest of the hom set.  Not memoised.
+    """
+    targets = [i2 for i2 in order_ideals(b.poset).ideals if i2.bit_count() == a.size]
+    return _morphisms(a, b, mode, (0,), {a.size: targets})
+
+
+def epis(b: CategoryObject, c: CategoryObject, mode: MapMode = MapMode.ALL_POSET_ISOS) -> tuple[Morphism, ...]:
+    """The epis b -> c: the triples with I2 all of c, I1 any ideal of size |b| - |c|.
+
+    Equal to ``hom_set(b, c, mode)`` filtered by :func:`is_epi`, in the
+    same order, without building the rest of the hom set.  Not memoised.
+    """
+    kernel_size = b.size - c.size
+    kernels = [i1 for i1 in order_ideals(b.poset).ideals if i1.bit_count() == kernel_size]
+    return _morphisms(b, c, mode, kernels, {c.size: [c.poset.full_mask]})
 
 
 def compose(second: Morphism, first: Morphism) -> Morphism:

@@ -14,11 +14,13 @@ the row ``f -> g o f`` is tabulated by real ``compose`` calls;
 associativity of a triple (f, g, h) then reads
 ``row_h[row_g[f]] == row_{h o g}[f]``, so the exhaustive triple scan
 costs two table lookups per triple while every composite in sight was
-produced (and validated) by the actual composition routine.  The table
-is built on first use and replaced only when a larger bound is asked
-for.  Objects are ordered by size, so the objects of a smaller bound,
-their blocks in each row and their interned indices are a prefix of the
-larger table, and a check at that bound reads the prefix.
+produced (and validated) by the actual composition routine.  Rows are
+tuples, and each row_g becomes one ``operator.itemgetter`` that gathers
+row_h at every f at once.  The table is built on first use and replaced
+only when a larger bound is asked for.  Objects are ordered by size, so
+the objects of a smaller bound, their blocks in each row and their
+interned indices are a prefix of the larger table, and a check at that
+bound reads the prefix.
 :func:`category_suite` is the list of the public checks.
 
 The kernel and cokernel universal properties count factorizations.  The
@@ -28,6 +30,13 @@ so for each object, kernel ideal and test object t the composites
 ``ker(m) o v`` (resp. ``v o coker(m)``) over all v are computed once and
 tallied by their index in the table; the number of factorizations of
 each u is then a lookup in that tally.
+
+The short-exact-sequence check runs one size above the table and needs
+only the monos into and the epis out of each middle object.  It reads
+them from :func:`category.monos` and :func:`category.epis`, which
+enumerate only the fixed ideal (I1 empty, resp. I2 the whole target)
+and return exactly the filtered hom set, in the same order, so no full
+hom set of an object above the table bound is built.
 """
 
 from __future__ import annotations
@@ -36,6 +45,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 from typing import Any
 
 from . import jsonio
@@ -44,11 +54,13 @@ from .category import (
     Morphism,
     cokernel,
     compose,
+    epis,
     hom_set,
     identity,
     is_epi,
     is_mono,
     kernel,
+    monos,
     short_exact_sequences,
 )
 from .families import FamilyContext, verify_closure
@@ -126,7 +138,7 @@ class _HomTables:
     into: dict[CategoryObject, list[Morphism]] = field(default_factory=dict)
     intern: dict[CategoryObject, dict[Morphism, int]] = field(default_factory=dict)
     blocks: dict[CategoryObject, list[tuple[int, int]]] = field(default_factory=dict)
-    rows: dict[Morphism, list[int]] = field(default_factory=dict)
+    rows: dict[Morphism, tuple[int, ...]] = field(default_factory=dict)
 
     def build(self) -> None:
         for b in self.objects:
@@ -144,7 +156,7 @@ class _HomTables:
             for c in self.objects:
                 intern_c = self.intern[c]
                 for g in hom_set(b, c, self.mode):
-                    self.rows[g] = [intern_c[compose(g, f)] for f in incoming]
+                    self.rows[g] = tuple([intern_c[compose(g, f)] for f in incoming])
 
     def prefix(self, max_size: int) -> list[CategoryObject]:
         """The objects of size <= ``max_size``, a prefix of ``objects``."""
@@ -190,6 +202,16 @@ def check_unit_laws(ctx: FamilyContext, max_size: int) -> CheckResult:
     return _result(f"category.unit-laws[n<={max_size}]", failures, checked)
 
 
+def _gather(indices: tuple[int, ...]):
+    """``row -> tuple(row[i] for i in indices)``; one ``itemgetter`` when it can.
+
+    ``itemgetter`` with a single index returns the item, not a 1-tuple.
+    """
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    return lambda row: tuple(row[i] for i in indices)
+
+
 def check_associativity(ctx: FamilyContext, max_size: int) -> CheckResult:
     """(h o g) o f = h o (g o f) over every composable triple."""
     tables = _hom_tables(ctx, max_size)
@@ -204,7 +226,7 @@ def check_associativity(ctx: FamilyContext, max_size: int) -> CheckResult:
         for c in objects:
             intern_c = tables.intern[c]
             for g in hom_set(b, c, mode):
-                row_g = tables.rows[g][:width]
+                via = _gather(tables.rows[g][:width])
                 g_id = intern_c[g]
                 for d in objects:
                     into_d = tables.into[d]
@@ -213,7 +235,7 @@ def check_associativity(ctx: FamilyContext, max_size: int) -> CheckResult:
                         row_hg = tables.rows[into_d[row_h[g_id]]]
                         if len(row_hg) != width:
                             row_hg = row_hg[:width]
-                        via_g = list(map(row_h.__getitem__, row_g))
+                        via_g = via(row_h)
                         triples += width
                         if via_g != row_hg:
                             bad = next(
@@ -321,8 +343,10 @@ def check_mono_epi_cancellation(ctx: FamilyContext, max_size: int) -> CheckResul
     for b in objects:
         blocks_b = tables.blocks[b][: len(objects)]
         for c in objects:
+            intern_c = tables.intern[c]
             for m in hom_set(b, c, mode):
                 checked += 1
+                m_id = intern_c[m]
                 row = tables.rows[m]
                 left_cancellable = all(
                     len(set(row[lo:hi])) == hi - lo for lo, hi in blocks_b
@@ -334,7 +358,7 @@ def check_mono_epi_cancellation(ctx: FamilyContext, max_size: int) -> CheckResul
                 for t in objects:
                     seen: dict[int, Morphism] = {}
                     for u in hom_set(c, t, mode):
-                        val = tables.rows[u][tables.intern[c][m]]
+                        val = tables.rows[u][m_id]
                         if val in seen and seen[val] != u:
                             right_cancellable = False
                             break
@@ -394,17 +418,22 @@ def check_torsor(ctx: FamilyContext, max_size: int) -> CheckResult:
 
 
 def check_ses_classification(ctx: FamilyContext, max_size: int) -> CheckResult:
-    """Every exact mono/epi pair matches a canonical SES up to end isos."""
+    """Every exact mono/epi pair matches a canonical SES up to end isos.
+
+    The pairs are read from ``monos(a, b)`` and ``epis(b, c)``, equal to
+    the hom sets filtered by :func:`is_mono` and :func:`is_epi`, so the
+    full hom sets of the objects above the table bound are never built.
+    """
     objects = _objects_of(ctx, max_size)
     failures: list[Any] = []
     checked = 0
     for b in objects:
-        epis_to = [(c, [e for e in hom_set(b, c, ctx.mode) if is_epi(e)]) for c in objects]
+        epis_to = [(c, epis(b, c, ctx.mode)) for c in objects]
         for a in objects:
-            monos = [m for m in hom_set(a, b, ctx.mode) if is_mono(m)]
-            for c, epis in epis_to:
-                for f in monos:
-                    for g in epis:
+            monos_in = monos(a, b, ctx.mode)
+            for c, epis_out in epis_to:
+                for f in monos_in:
+                    for g in epis_out:
                         if f.i2 != g.i1:
                             continue
                         checked += 1

@@ -2,6 +2,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+import inccat.category as category
 from conftest import posets
 from inccat.category import (
     CategoryObject,
@@ -25,7 +26,7 @@ from inccat.category import (
     zero_morphism,
 )
 from inccat.errors import CompositionError, NotAnIdealError, PosetError
-from inccat.families import fin_up_to
+from inccat.families import family_from_spec, fin_up_to
 from inccat.ideals import is_order_ideal, order_ideals
 from inccat.posets import (
     MapMode,
@@ -290,6 +291,32 @@ class TestMonoEpi:
             m for m in hom_set(objs["ac2"], objs["dot"]) if is_epi(m) and m.i1 == 0b01
         ]
         assert len(partial) == 1
+
+    @pytest.mark.parametrize(
+        "spec, max_size", [("fin", 4), ("forests", 5), ("csets:2", 3), ("cforests:2", 3)]
+    )
+    def test_monos_and_epis_are_the_filtered_hom_set(self, spec, max_size, monkeypatch):
+        # monos/epis enumerate only their fixed ideal; the oracle is the
+        # full hom set, filtered, and the order must be the same
+        monkeypatch.setattr(category, "_hom_sets", {})
+        ctx = family_from_spec(spec, max_size)
+        assert (ctx.mode is MapMode.COLOR_PRESERVING_ISOS) == spec.startswith("c")
+        objects = [
+            CategoryObject(cls.representative)
+            for size in range(max_size + 1)
+            for cls in ctx.classes(size)
+        ]
+        for a in objects:
+            for b in objects:
+                full = hom_set(a, b, ctx.mode)
+                assert category.monos(a, b, ctx.mode) == tuple(m for m in full if is_mono(m))
+                assert category.epis(a, b, ctx.mode) == tuple(m for m in full if is_epi(m))
+
+    def test_monos_and_epis_are_not_memoised(self, objs, monkeypatch):
+        monkeypatch.setattr(category, "_hom_sets", {})
+        assert len(category.monos(objs["dot"], objs["ac2"])) == 2
+        assert len(category.epis(objs["ac2"], objs["dot"])) == 2
+        assert category._hom_sets == {}
 
 
 class TestDirectSum:

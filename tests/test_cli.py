@@ -196,6 +196,15 @@ class TestVerify:
         assert code == 0
         assert out == (GOLDEN / "verify_csets2_3.stdout").read_text()
 
+    def test_small_bounds_golden(self, capsys):
+        # --deep 0 gives the associativity scan rows of width one
+        out = ""
+        for bounds in (["--deep", "0"], ["--deep", "1"], ["--quick"], ["--deep", "3"]):
+            code, part = run(capsys, "verify", "--family", "fin", "--max-size", "3", *bounds)
+            assert code == 0
+            out += part
+        assert out == (GOLDEN / "verify_fin3_bounds.stdout").read_text()
+
     def test_seed_printed(self, capsys):
         code, out = run(
             capsys, "verify", "--family", "sets", "--max-size", "2", "--quick",

@@ -2,11 +2,23 @@ import json
 
 import pytest
 
+import inccat.category as category
 import inccat.verification as verification
 from inccat import jsonio
-from inccat.category import Morphism, compose, identity, zero_morphism
+from inccat.category import (
+    Morphism,
+    compose,
+    hom_set,
+    identity,
+    is_epi,
+    is_mono,
+    short_exact_sequences,
+    zero_morphism,
+)
 from inccat.cli import main
-from inccat.families import fin_up_to, forests_up_to, sets_up_to
+from inccat.families import colored_sets_up_to, fin_up_to, forests_up_to, sets_up_to
+from inccat.ideals import order_ideals
+from inccat.posets import canonical_form, induced_subposet
 from inccat.verification import (
     CheckResult,
     category_suite,
@@ -14,6 +26,7 @@ from inccat.verification import (
     check_cokernel_universal,
     check_kernel_universal,
     check_mono_epi_cancellation,
+    check_ses_classification,
     check_unit_laws,
     run_verification,
 )
@@ -93,6 +106,71 @@ class TestSuitesPass:
         for public in checks:
             own = public(make(), universal)
             assert own.passed and results[own.name] == own
+
+    def test_suite_builds_no_hom_set_above_the_table_bound(self, monkeypatch):
+        # the SES check runs one size above the table; it reads only monos
+        # and epis there, so no full hom set of a larger object is built
+        monkeypatch.setattr(category, "_hom_sets", {})
+        ctx = fin_up_to(4)
+        results = category_suite(ctx, 3, 3)
+        assert all(r.passed for r in results)
+        assert results[-1].name == "category.ses-classification[n<=4]"
+        bound = ctx.memo["hom_tables"].max_size
+        assert bound == 3 and category._hom_sets
+        assert all(a.size <= bound and b.size <= bound for a, b, _ in category._hom_sets)
+
+
+def filtered_ses_classification(ctx, max_size):
+    """The SES check as it read before monos/epis: full hom sets, filtered."""
+    objects = verification._objects_of(ctx, max_size)
+    failures = []
+    checked = 0
+    for b in objects:
+        epis_to = [(c, [e for e in hom_set(b, c, ctx.mode) if is_epi(e)]) for c in objects]
+        for a in objects:
+            monos = [m for m in hom_set(a, b, ctx.mode) if is_mono(m)]
+            for c, epis in epis_to:
+                for f in monos:
+                    for g in epis:
+                        if f.i2 != g.i1:
+                            continue
+                        checked += 1
+                        sub, _ = induced_subposet(b.poset, f.i2)
+                        rest, _ = induced_subposet(b.poset, b.poset.full_mask & ~f.i2)
+                        ok = canonical_form(a.poset, ctx.mode) == canonical_form(
+                            sub, ctx.mode
+                        ) and canonical_form(c.poset, ctx.mode) == canonical_form(rest, ctx.mode)
+                        if not ok:
+                            failures.append(
+                                {
+                                    "f": jsonio.morphism_to_doc(f),
+                                    "g": jsonio.morphism_to_doc(g),
+                                }
+                            )
+    for b in objects:
+        sequences = short_exact_sequences(b, ctx.mode)
+        checked += len(sequences)
+        if len(sequences) != len(order_ideals(b.poset)):
+            failures.append({"middle": jsonio.poset_to_doc(b.poset)})
+    return verification._result(
+        f"category.ses-classification[n<={max_size}]", failures, checked
+    )
+
+
+@pytest.mark.parametrize(
+    "make, bound",
+    [
+        (lambda: fin_up_to(4), 4),
+        (lambda: forests_up_to(4), 4),
+        (lambda: colored_sets_up_to(3, 2), 3),
+    ],
+    ids=["fin4", "forests4", "csets2-3"],
+)
+def test_ses_classification_matches_filtered_hom_sets(make, bound, monkeypatch):
+    monkeypatch.setattr(category, "_hom_sets", {})
+    expected = filtered_ses_classification(make(), bound)
+    result = check_ses_classification(make(), bound)
+    assert result == expected and result.passed
 
 
 class TestFailureDetection:
@@ -199,7 +277,8 @@ class TestTabulatedChecksCatchCorruption:
                     if not into_c[k].is_zero:
                         f = tables.into[g.source][i]
                         zero = zero_morphism(f.source, g.target, g.mode)
-                        row[i] = tables.intern[g.target][zero]
+                        zero_id = tables.intern[g.target][zero]
+                        tables.rows[g] = row[:i] + (zero_id,) + row[i + 1 :]
                         corrupted.append((g, f))
                         return tables
             return tables
