@@ -8,28 +8,29 @@ sampled, with one exception: the Hopf-relation checks draw seeded random
 relabelings.
 
 The unit, associativity, cancellation and universal checks read one
-composition table per family context, kept in ``ctx.memo["hom_tables"]``.
-All morphisms into each object are interned once; for every morphism g
-the row ``f -> g o f`` is tabulated by real ``compose`` calls;
-associativity of a triple (f, g, h) then reads
-``row_h[row_g[f]] == row_{h o g}[f]``, so the exhaustive triple scan
-costs two table lookups per triple while every composite in sight was
-produced (and validated) by the actual composition routine.  Rows are
-tuples, and each row_g becomes one ``operator.itemgetter`` that gathers
-row_h at every f at once.  The table is built on first use and replaced
-only when a larger bound is asked for.  Objects are ordered by size, so
-the objects of a smaller bound, their blocks in each row and their
-interned indices are a prefix of the larger table, and a check at that
-bound reads the prefix.
+composition table per family context (:class:`hom_tables.HomTables`),
+kept in ``ctx.memo["hom_tables"]``.  Every morphism into an object is
+interned there under an int key, each composite is computed on those
+keys, and the checks read rows of ints.  The table is built on first
+use and replaced only when a larger bound is asked for; a check at a
+smaller bound reads its prefix.
 :func:`category_suite` is the list of the public checks.
+
+No composite goes unvalidated although none is built as a
+:class:`category.Morphism`: every interned key comes from ``hom_set``, which
+validates each of its morphisms in full.  A composite whose key is found
+is therefore a valid morphism a -> c.  A key that is not found means an
+invalid composite, or a hom set that misses a morphism; every table
+check then fails with the pair (f, g) as its counterexample.
 
 The kernel and cokernel universal properties count factorizations.  The
 vanishing of ``m o u`` (resp. ``u o m``) is read from the table.  ker(m)
 depends only on the source and I1 (coker(m) only on the target and I2),
 so for each object, kernel ideal and test object t the composites
-``ker(m) o v`` (resp. ``v o coker(m)``) over all v are computed once and
-tallied by their index in the table; the number of factorizations of
-each u is then a lookup in that tally.
+``ker(m) o v`` (resp. ``v o coker(m)``) over all v are computed once on
+the same keys and tallied by their index in the table; the number of
+factorizations of each u is then a lookup in that tally.  Such a
+composite whose key is not found is a failure too.
 
 The short-exact-sequence check runs one size above the table and needs
 only the monos into and the epis out of each middle object.  It reads
@@ -43,17 +44,14 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
 from typing import Any
 
 from . import jsonio
 from .category import (
     CategoryObject,
-    Morphism,
     cokernel,
-    compose,
     epis,
     hom_set,
     identity,
@@ -92,9 +90,9 @@ from .incidence import (
     schmitt_unit,
     verify_hopf_relation,
 )
+from .hom_tables import HomTables, arrow, disagreements, gather, tally
 from .ideals import is_order_ideal, order_ideals
 from .posets import (
-    MapMode,
     automorphisms,
     canonical_form,
     find_isomorphisms,
@@ -128,41 +126,6 @@ def _result(name: str, failures: list, checked: int, detail: str = "") -> CheckR
 # category suite
 
 
-@dataclass
-class _HomTables:
-    """Interned morphisms into each object plus full composition rows."""
-
-    objects: list[CategoryObject]
-    mode: MapMode
-    max_size: int
-    into: dict[CategoryObject, list[Morphism]] = field(default_factory=dict)
-    intern: dict[CategoryObject, dict[Morphism, int]] = field(default_factory=dict)
-    blocks: dict[CategoryObject, list[tuple[int, int]]] = field(default_factory=dict)
-    rows: dict[Morphism, tuple[int, ...]] = field(default_factory=dict)
-
-    def build(self) -> None:
-        for b in self.objects:
-            incoming: list[Morphism] = []
-            blocks = []
-            for a in self.objects:
-                start = len(incoming)
-                incoming.extend(hom_set(a, b, self.mode))
-                blocks.append((start, len(incoming)))
-            self.into[b] = incoming
-            self.blocks[b] = blocks
-            self.intern[b] = {m: i for i, m in enumerate(incoming)}
-        for b in self.objects:
-            incoming = self.into[b]
-            for c in self.objects:
-                intern_c = self.intern[c]
-                for g in hom_set(b, c, self.mode):
-                    self.rows[g] = tuple([intern_c[compose(g, f)] for f in incoming])
-
-    def prefix(self, max_size: int) -> list[CategoryObject]:
-        """The objects of size <= ``max_size``, a prefix of ``objects``."""
-        return [b for b in self.objects if b.poset.size <= max_size]
-
-
 def _objects_of(ctx: FamilyContext, max_size: int) -> list[CategoryObject]:
     return [
         CategoryObject(cls.representative)
@@ -171,11 +134,11 @@ def _objects_of(ctx: FamilyContext, max_size: int) -> list[CategoryObject]:
     ]
 
 
-def _hom_tables(ctx: FamilyContext, max_size: int) -> _HomTables:
+def _hom_tables(ctx: FamilyContext, max_size: int) -> HomTables:
     """The context's table; built on first use, replaced for a larger bound."""
     tables = ctx.memo.get("hom_tables")
     if tables is None or tables.max_size < max_size:
-        tables = _HomTables(_objects_of(ctx, max_size), ctx.mode, max_size)
+        tables = HomTables(_objects_of(ctx, max_size), ctx.mode, max_size)
         tables.build()
         ctx.memo["hom_tables"] = tables
     return tables
@@ -183,98 +146,93 @@ def _hom_tables(ctx: FamilyContext, max_size: int) -> _HomTables:
 
 def check_unit_laws(ctx: FamilyContext, max_size: int) -> CheckResult:
     """id_b o m = m = m o id_a over all hom-sets, read from the table."""
+    name = f"category.unit-laws[n<={max_size}]"
     tables = _hom_tables(ctx, max_size)
-    objects = tables.prefix(max_size)
-    identities = {a: identity(a, ctx.mode) for a in objects}
-    failures: list[Any] = []
+    n = tables.count(max_size)
+    ids = [identity(x, ctx.mode) for x in tables.objects[:n]]
+    identities = [tables.intern[a].get(arrow(m, a)[0]) for a, m in enumerate(ids)]
+    failures = tables.unmatched_among(n)
+    failures += [jsonio.morphism_to_doc(m) for m, i in zip(ids, identities) if i is None]
+    if failures:
+        return _result(name, failures, 0)
     checked = 0
-    for k, a in enumerate(objects):
-        id_a = tables.intern[a][identities[a]]
-        for b in objects:
-            into_b = tables.into[b]
-            row_idb = tables.rows[identities[b]]
-            lo, hi = tables.blocks[b][k]
+    for a, id_a in enumerate(identities):
+        for b in range(n):
+            rows_b = tables.rows[b]
+            row_idb = rows_b[identities[b]]
+            lo, hi = tables.blocks[b][a]
             for i in range(lo, hi):
                 checked += 1
-                m = into_b[i]
-                if into_b[row_idb[i]] != m or into_b[tables.rows[m][id_a]] != m:
-                    failures.append(jsonio.morphism_to_doc(m))
-    return _result(f"category.unit-laws[n<={max_size}]", failures, checked)
-
-
-def _gather(indices: tuple[int, ...]):
-    """``row -> tuple(row[i] for i in indices)``; one ``itemgetter`` when it can.
-
-    ``itemgetter`` with a single index returns the item, not a 1-tuple.
-    """
-    if len(indices) > 1:
-        return itemgetter(*indices)
-    return lambda row: tuple(row[i] for i in indices)
+                if row_idb[i] != i or rows_b[i][id_a] != i:
+                    failures.append(jsonio.morphism_to_doc(tables.into[b][i]))
+    return _result(name, failures, checked)
 
 
 def check_associativity(ctx: FamilyContext, max_size: int) -> CheckResult:
-    """(h o g) o f = h o (g o f) over every composable triple."""
+    """(h o g) o f = h o (g o f) over every composable triple.
+
+    :func:`disagreements` finds each (g, d) whose block of h: c -> d has a
+    failing triple; only such a block is walked again, on the int rows,
+    to name each failure.
+    """
+    name = f"category.associativity[n<={max_size}]"
     tables = _hom_tables(ctx, max_size)
-    objects = tables.prefix(max_size)
-    mode = tables.mode
-    failures: list[Any] = []
-    triples = 0
-    for b in objects:
-        # f ranges over the prefix block of the rows into b; a row is
-        # sliced only when the table is larger, as a slice copies it
-        width = tables.blocks[b][len(objects) - 1][1]
-        for c in objects:
-            intern_c = tables.intern[c]
-            for g in hom_set(b, c, mode):
-                via = _gather(tables.rows[g][:width])
-                g_id = intern_c[g]
-                for d in objects:
-                    into_d = tables.into[d]
-                    for h in hom_set(c, d, mode):
-                        row_h = tables.rows[h]
-                        row_hg = tables.rows[into_d[row_h[g_id]]]
-                        if len(row_hg) != width:
-                            row_hg = row_hg[:width]
-                        via_g = via(row_h)
-                        triples += width
-                        if via_g != row_hg:
-                            bad = next(
-                                i for i, (x, y) in enumerate(zip(via_g, row_hg)) if x != y
-                            )
-                            failures.append(
-                                {
-                                    "f": jsonio.morphism_to_doc(tables.into[b][bad]),
-                                    "g": jsonio.morphism_to_doc(g),
-                                    "h": jsonio.morphism_to_doc(h),
-                                }
-                            )
-    return _result(f"category.associativity[n<={max_size}]", failures, triples, "triples")
+    n = tables.count(max_size)
+    failures = tables.unmatched_among(n)
+    if failures:
+        return _result(name, failures, 0)
+    for b, c, g_id, d in disagreements(tables, n):
+        width = tables.blocks[b][n - 1][1]
+        via = gather(tables.rows[c][g_id][:width])
+        h_lo, h_hi = tables.blocks[d][c]
+        for h_id in range(h_lo, h_hi):
+            row_h = tables.rows[d][h_id]
+            via_g = via(row_h)
+            row_hg = tables.rows[d][row_h[g_id]][:width]
+            if via_g != row_hg:
+                bad = next(i for i, (x, y) in enumerate(zip(via_g, row_hg)) if x != y)
+                failures.append(
+                    {
+                        "f": jsonio.morphism_to_doc(tables.into[b][bad]),
+                        "g": jsonio.morphism_to_doc(tables.into[c][g_id]),
+                        "h": jsonio.morphism_to_doc(tables.into[d][h_id]),
+                    }
+                )
+    size = [[hi - lo for lo, hi in tables.blocks[x][:n]] for x in range(n)]
+    triples = sum(
+        sum(size[b]) * size[c][b] * size[d][c] for b in range(n) for c in range(n) for d in range(n)
+    )
+    return _result(name, failures, triples, "triples")
 
 
 def check_kernel_universal(ctx: FamilyContext, max_size: int) -> CheckResult:
     """Every u with m o u = 0 factors uniquely through ker(m)."""
+    name = f"category.kernel-universal[n<={max_size}]"
     tables = _hom_tables(ctx, max_size)
-    objects = tables.prefix(max_size)
+    n = tables.count(max_size)
+    failures = tables.unmatched_among(n)
+    if failures:
+        return _result(name, failures, 0)
+    objects = tables.objects
     mode = tables.mode
-    failures: list[Any] = []
     checked = 0
-    for a in objects:
+    for a in range(n):
         into_a = tables.into[a]
-        intern_a = tables.intern[a]
         blocks_a = tables.blocks[a]
         tallies: dict[tuple[int, int], Counter] = {}
-        for b in objects:
+        for b in range(n):
             into_b = tables.into[b]
-            for m in hom_set(a, b, mode):
-                row_m = tables.rows[m]
-                for k, t in enumerate(objects):
+            rows_b = tables.rows[b]
+            m_lo, m_hi = tables.blocks[b][a]
+            for m_id in range(m_lo, m_hi):
+                m = into_b[m_id]
+                row_m = rows_b[m_id]
+                for k in range(n):
                     through_ker = tallies.get((m.i1, k))
                     if through_ker is None:
                         ker = kernel(m)
-                        through_ker = Counter(
-                            intern_a.get(compose(ker, v))
-                            for v in hom_set(t, ker.source, mode)
-                        )
+                        vs = hom_set(objects[k], ker.source, mode)
+                        through_ker = tally(((ker, v, k) for v in vs), tables.intern[a], failures)
                         tallies[(m.i1, k)] = through_ker
                     lo, hi = blocks_a[k]
                     for i in range(lo, hi):
@@ -289,85 +247,85 @@ def check_kernel_universal(ctx: FamilyContext, max_size: int) -> CheckResult:
                                     "factorizations": factorizations,
                                 }
                             )
-    return _result(f"category.kernel-universal[n<={max_size}]", failures, checked)
+    return _result(name, failures, checked)
 
 
 def check_cokernel_universal(ctx: FamilyContext, max_size: int) -> CheckResult:
     """Every u with u o m = 0 factors uniquely through coker(m)."""
+    name = f"category.cokernel-universal[n<={max_size}]"
     tables = _hom_tables(ctx, max_size)
-    objects = tables.prefix(max_size)
+    n = tables.count(max_size)
+    failures = tables.unmatched_among(n)
+    if failures:
+        return _result(name, failures, 0)
+    objects = tables.objects
     mode = tables.mode
     tallies: dict[tuple[int, int, int], Counter] = {}
-    failures: list[Any] = []
     checked = 0
-    for a in objects:
-        for j, b in enumerate(objects):
-            intern_b = tables.intern[b]
-            for m in hom_set(a, b, mode):
-                m_id = intern_b[m]
-                for k, t in enumerate(objects):
-                    into_t = tables.into[t]
-                    through_cok = tallies.get((j, m.i2, k))
+    for a in range(n):
+        for b in range(n):
+            into_b = tables.into[b]
+            m_lo, m_hi = tables.blocks[b][a]
+            for m_id in range(m_lo, m_hi):
+                m = into_b[m_id]
+                for k in range(n):
+                    into_t = tables.into[k]
+                    rows_t = tables.rows[k]
+                    through_cok = tallies.get((b, m.i2, k))
                     if through_cok is None:
                         cok = cokernel(m)
-                        intern_t = tables.intern[t]
-                        through_cok = Counter(
-                            intern_t.get(compose(v, cok))
-                            for v in hom_set(cok.target, t, mode)
-                        )
-                        tallies[(j, m.i2, k)] = through_cok
-                    lo, hi = tables.blocks[t][j]
+                        vs = hom_set(cok.target, objects[k], mode)
+                        through_cok = tally(((v, cok, b) for v in vs), tables.intern[k], failures)
+                        tallies[(b, m.i2, k)] = through_cok
+                    lo, hi = tables.blocks[k][b]
                     for i in range(lo, hi):
                         checked += 1
-                        u = into_t[i]
-                        vanishes = into_t[tables.rows[u][m_id]].is_zero
+                        vanishes = into_t[rows_t[i][m_id]].is_zero
                         factorizations = through_cok[i]
                         if factorizations != (1 if vanishes else 0):
                             failures.append(
                                 {
                                     "m": jsonio.morphism_to_doc(m),
-                                    "u": jsonio.morphism_to_doc(u),
+                                    "u": jsonio.morphism_to_doc(into_t[i]),
                                     "factorizations": factorizations,
                                 }
                             )
-    return _result(f"category.cokernel-universal[n<={max_size}]", failures, checked)
+    return _result(name, failures, checked)
 
 
 def check_mono_epi_cancellation(ctx: FamilyContext, max_size: int) -> CheckResult:
     """is_mono/is_epi agree with left/right cancellability."""
+    name = f"category.mono-epi-cancellation[n<={max_size}]"
     tables = _hom_tables(ctx, max_size)
-    objects = tables.prefix(max_size)
-    mode = tables.mode
-    failures: list[Any] = []
+    n = tables.count(max_size)
+    failures = tables.unmatched_among(n)
+    if failures:
+        return _result(name, failures, 0)
     checked = 0
-    for b in objects:
-        blocks_b = tables.blocks[b][: len(objects)]
-        for c in objects:
-            intern_c = tables.intern[c]
-            for m in hom_set(b, c, mode):
+    for b in range(n):
+        blocks_b = tables.blocks[b][:n]
+        for c in range(n):
+            lo, hi = tables.blocks[c][b]
+            for m_id in range(lo, hi):
                 checked += 1
-                m_id = intern_c[m]
-                row = tables.rows[m]
+                m = tables.into[c][m_id]
+                row = tables.rows[c][m_id]
                 left_cancellable = all(
-                    len(set(row[lo:hi])) == hi - lo for lo, hi in blocks_b
+                    len(set(row[f_lo:f_hi])) == f_hi - f_lo for f_lo, f_hi in blocks_b
                 )
                 if left_cancellable != is_mono(m):
                     failures.append({"m": jsonio.morphism_to_doc(m), "side": "mono"})
                 # right cancellability: u o m determines u among Hom(c, t)
                 right_cancellable = True
-                for t in objects:
-                    seen: dict[int, Morphism] = {}
-                    for u in hom_set(c, t, mode):
-                        val = tables.rows[u][m_id]
-                        if val in seen and seen[val] != u:
-                            right_cancellable = False
-                            break
-                        seen[val] = u
-                    if not right_cancellable:
+                for t in range(n):
+                    u_lo, u_hi = tables.blocks[t][c]
+                    column = {row_u[m_id] for row_u in tables.rows[t][u_lo:u_hi]}
+                    if len(column) != u_hi - u_lo:
+                        right_cancellable = False
                         break
                 if right_cancellable != is_epi(m):
                     failures.append({"m": jsonio.morphism_to_doc(m), "side": "epi"})
-    return _result(f"category.mono-epi-cancellation[n<={max_size}]", failures, checked)
+    return _result(name, failures, checked)
 
 
 def check_torsor(ctx: FamilyContext, max_size: int) -> CheckResult:

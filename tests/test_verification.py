@@ -1,8 +1,11 @@
 import json
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 import inccat.category as category
+import inccat.hom_tables as hom_tables
 import inccat.verification as verification
 from inccat import jsonio
 from inccat.category import (
@@ -16,7 +19,13 @@ from inccat.category import (
     zero_morphism,
 )
 from inccat.cli import main
-from inccat.families import colored_sets_up_to, fin_up_to, forests_up_to, sets_up_to
+from inccat.families import (
+    colored_forests_up_to,
+    colored_sets_up_to,
+    fin_up_to,
+    forests_up_to,
+    sets_up_to,
+)
 from inccat.ideals import order_ideals
 from inccat.posets import canonical_form, induced_subposet
 from inccat.verification import (
@@ -173,57 +182,228 @@ def test_ses_classification_matches_filtered_hom_sets(make, bound, monkeypatch):
     assert result == expected and result.passed
 
 
+KEY_FAMILIES = {
+    "fin3": lambda: fin_up_to(3),
+    "csets2-3": lambda: colored_sets_up_to(3, 2),
+    "cforests2-3": lambda: colored_forests_up_to(3, 2),
+}
+
+
+def as_morphism(key, f, g):
+    """The morphism f.source -> g.target with the key's (K1, K3, h)."""
+    return Morphism(f.source, g.target, key[1], key[2], key[3], f.mode)
+
+
+def rows_by_compose(ctx, max_size):
+    """The composition table as built before keys, by ``compose``.
+
+    Returns the morphisms into each object, in table order, and yields
+    per morphism g: b -> c the list of ``compose(g, f)`` over f into b.
+    """
+    objects = verification._objects_of(ctx, max_size)
+    into = [[m for a in objects for m in hom_set(a, b, ctx.mode)] for b in objects]
+
+    def rows():
+        for b, into_b in enumerate(into):
+            for c, target in enumerate(objects):
+                for g in hom_set(objects[b], target, ctx.mode):
+                    yield b, c, g, [compose(g, f) for f in into_b]
+
+    return into, rows()
+
+
+@pytest.mark.parametrize("family", KEY_FAMILIES)
+def test_key_level_table_matches_compose(family):
+    # on every composable pair the key composite, turned back into a
+    # morphism, is compose(g, f); and the rows equal, entry for entry,
+    # the table built by compose and interned by morphism
+    ctx = KEY_FAMILIES[family]()
+    tables = verification._hom_tables(ctx, 3)
+    into, rows = rows_by_compose(ctx, 3)
+    assert tables.into == into and not tables.unmatched
+    intern = [{m: i for i, m in enumerate(ms)} for ms in into]
+    arrows = [
+        [hom_tables.arrow(f, a) for a, (lo, hi) in enumerate(blocks) for f in into_b[lo:hi]]
+        for into_b, blocks in zip(into, tables.blocks)
+    ]
+    row_count = 0
+    for b, c, g, composites in rows:
+        g_arrow = hom_tables.arrow(g, -1)
+        for f, f_arrow, gf in zip(into[b], arrows[b], composites):
+            key = hom_tables.composite_key(g_arrow, f_arrow)
+            assert key[0] == f_arrow[0][0] and as_morphism(key, f, g) == gf, (g, f)
+        g_id = into[c].index(g)
+        assert tables.rows[c][g_id] == tuple([intern[c][gf] for gf in composites]), g
+        row_count += 1
+    assert row_count == sum(len(rows_c) for rows_c in tables.rows)
+
+
+RANDOM_FAMILIES = {
+    "fin4": lambda: fin_up_to(4),
+    "forests5": lambda: forests_up_to(5),
+    "csets2-4": lambda: colored_sets_up_to(4, 2),
+    "cforests2-4": lambda: colored_forests_up_to(4, 2),
+}
+_random_objects: dict = {}
+
+
+def random_objects(name):
+    if name not in _random_objects:
+        ctx = RANDOM_FAMILIES[name]()
+        _random_objects[name] = (ctx.mode, verification._objects_of(ctx, ctx.max_size))
+    return _random_objects[name]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_key_composite_matches_compose_on_random_pairs(data):
+    mode, objects = random_objects(data.draw(st.sampled_from(sorted(RANDOM_FAMILIES))))
+    a_index = data.draw(st.integers(0, len(objects) - 1))
+    b, c = (data.draw(st.sampled_from(objects)) for _ in range(2))
+    f = data.draw(st.sampled_from(hom_set(objects[a_index], b, mode)))
+    g = data.draw(st.sampled_from(hom_set(b, c, mode)))
+    key = hom_tables.composite_key(hom_tables.arrow(g, -1), hom_tables.arrow(f, a_index))
+    assert key[0] == a_index
+    assert as_morphism(key, f, g) == compose(g, f)
+
+
+def sabotage_composites(monkeypatch, corrupt):
+    """Route every key-level composite through ``corrupt(second, first, key)``.
+
+    ``hom_tables.arrow`` is wrapped so that each arrow maps back to the
+    morphism it was made from; ``corrupt`` sees both morphisms and the key
+    of the true composite, and returns the key the check reads instead.
+    """
+    made = {}
+    arrow, composite_key = hom_tables.arrow, hom_tables.composite_key
+
+    def recording(m, source):
+        out = arrow(m, source)
+        made[id(out)] = (m, out)  # holds the arrow, so its id is never reused
+        return out
+
+    def sabotaged(g, f):
+        return corrupt(made[id(g)][0], made[id(f)][0], composite_key(g, f))
+
+    monkeypatch.setattr(hom_tables, "arrow", recording)
+    monkeypatch.setattr(hom_tables, "composite_key", sabotaged)
+
+
+def zero_key(key, first):
+    """The key of the zero morphism out of ``first``'s source."""
+    return key[0], first.source.poset.full_mask, 0, ()
+
+
+def one_run_per_source(tables, n):
+    return [(a, a + 1) for a in range(n)]
+
+
+# how the associativity scan compares rows: by bytes in the runs that
+# source_runs finds, by bytes with one run per source object, or by
+# gathering ints (what it does when a block holds more than 256 morphisms)
+SCANS = {
+    "byte-runs": None,
+    "run-per-source": one_run_per_source,
+    "ints": lambda tables, n: None,
+}
+
+
+@pytest.mark.parametrize("scan", SCANS)
+@pytest.mark.parametrize(
+    "make, bound",
+    [
+        (lambda: fin_up_to(3), 3),
+        (lambda: forests_up_to(4), 3),
+        (lambda: colored_sets_up_to(3, 2), 3),
+    ],
+    ids=["fin3", "forests4-prefix", "csets2-3"],
+)
+def test_associativity_scans_agree(make, bound, scan, monkeypatch):
+    # the int gather on a table of the check's own bound is the oracle;
+    # each scan runs on a table of the family's bound, read by prefix
+    with monkeypatch.context() as ints:
+        ints.setattr(hom_tables, "source_runs", SCANS["ints"])
+        expected = check_associativity(make(), bound)
+    if SCANS[scan] is not None:
+        monkeypatch.setattr(hom_tables, "source_runs", SCANS[scan])
+    ctx = make()
+    verification._hom_tables(ctx, ctx.max_size)
+    assert check_associativity(ctx, bound) == expected and expected.passed
+
+
+def corrupt_first_nonzero(tables):
+    """Make the table say g o f = 0 at its first nonzero entry; return (g, f)."""
+    for into_c, rows_c in zip(tables.into, tables.rows):
+        for j, row in enumerate(rows_c):
+            for i, k in enumerate(row):
+                if not into_c[k].is_zero:
+                    g = into_c[j]
+                    f = tables.into[tables.objects.index(g.source)][i]
+                    zero_id = into_c.index(zero_morphism(f.source, g.target, g.mode))
+                    rows_c[j] = row[:i] + (zero_id,) + row[i + 1 :]
+                    return g, f
+    raise AssertionError("no nonzero composite")
+
+
+def test_associativity_scans_name_the_same_failures(monkeypatch):
+    ctx = fin_up_to(3)
+    corrupt_first_nonzero(verification._hom_tables(ctx, 3))
+    results = []
+    for scan in SCANS.values():
+        if scan is not None:
+            monkeypatch.setattr(hom_tables, "source_runs", scan)
+        results.append(check_associativity(ctx, 3))
+    assert not results[0].passed
+    assert all(r == results[0] for r in results)
+
+
 class TestFailureDetection:
     """The checkers must notice a broken composition, not pass vacuously."""
 
     def test_unit_check_catches_broken_compose(self, fresh_fin, monkeypatch):
-        def sabotaged(second, first):
-            from inccat.category import zero_morphism
+        def corrupt(second, first, key):
+            if first.source.size == 1 and key[2] != 0:
+                return zero_key(key, first)
+            return key
 
-            result = compose(second, first)
-            if first.source.size == 1 and result.i2 != 0:
-                return zero_morphism(result.source, result.target, result.mode)
-            return result
-
-        monkeypatch.setattr(verification, "compose", sabotaged)
+        sabotage_composites(monkeypatch, corrupt)
         result = check_unit_laws(fresh_fin, 1)
         assert not result.passed
         assert result.counterexample is not None
 
-    def test_associativity_catches_biased_compose(self, fresh_fin, monkeypatch):
+    @pytest.mark.parametrize("scan", SCANS)
+    def test_associativity_catches_biased_compose(self, fresh_fin, monkeypatch, scan):
+        if SCANS[scan] is not None:
+            monkeypatch.setattr(hom_tables, "source_runs", SCANS[scan])
         calls = {"n": 0}
 
-        def flaky(second, first):
+        def flaky(second, first, key):
             calls["n"] += 1
-            result = compose(second, first)
-            if calls["n"] % 97 == 0 and not result.is_zero:
-                from inccat.category import zero_morphism
+            if calls["n"] % 97 == 0 and key[2] != 0:
+                return zero_key(key, first)
+            return key
 
-                return zero_morphism(result.source, result.target, result.mode)
-            return result
-
-        monkeypatch.setattr(verification, "compose", flaky)
+        sabotage_composites(monkeypatch, flaky)
         result = check_associativity(fresh_fin, 2)
         assert not result.passed
 
 
 def corrupt_one_composite(monkeypatch, chooses):
-    """Make ``verification.compose`` return zero for one composable pair.
+    """Make the key-level composite zero for one composable pair.
 
     The pair is the first one with a nonzero composite that ``chooses``
     accepts; every later composition of that same pair is corrupted too.
     """
     corrupted = []
 
-    def sabotaged(second, first):
-        result = compose(second, first)
-        if not corrupted and not result.is_zero and chooses(second, first):
+    def corrupt(second, first, key):
+        if not corrupted and key[2] != 0 and chooses(second, first):
             corrupted.append((second, first))
         if corrupted and corrupted[0] == (second, first):
-            return zero_morphism(result.source, result.target, result.mode)
-        return result
+            return zero_key(key, first)
+        return key
 
-    monkeypatch.setattr(verification, "compose", sabotaged)
+    sabotage_composites(monkeypatch, corrupt)
     return corrupted
 
 
@@ -260,6 +440,31 @@ class TestTabulatedChecksCatchCorruption:
         assert not result.passed
         assert result.counterexample["factorizations"] != 1
 
+    @pytest.mark.parametrize(
+        "check, made_by, side",
+        [(check_kernel_universal, "kernel", 0), (check_cokernel_universal, "cokernel", 1)],
+        ids=["kernel", "cokernel"],
+    )
+    def test_unmatched_tally_composite(self, fresh_fin, monkeypatch, check, made_by, side):
+        # ker(m) o v (resp. v o coker(m)) with a key that no morphism has
+        made = record_calls(monkeypatch, made_by)
+        pairs = []
+
+        def corrupt(second, first, key):
+            if not pairs and (second, first)[side] in made:
+                pairs.append((second, first))
+                return key[0], -1, 0, ()
+            return key
+
+        sabotage_composites(monkeypatch, corrupt)
+        result = check(fresh_fin, 2)
+        assert pairs and not result.passed
+        g, f = pairs[0]
+        assert result.counterexample == {
+            "f": jsonio.morphism_to_doc(f),
+            "g": jsonio.morphism_to_doc(g),
+        }
+
     def test_universal_checks_on_shared_table(self, fresh_fin, monkeypatch):
         # the table says g o f = 0, but f does not factor through ker(g)
         # and g does not factor through coker(f)
@@ -269,18 +474,8 @@ class TestTabulatedChecksCatchCorruption:
         def corrupting(ctx, max_size):
             # every check asks for the memoized table; corrupt it only once
             tables = build(ctx, max_size)
-            if corrupted:
-                return tables
-            for g, row in tables.rows.items():
-                into_c = tables.into[g.target]
-                for i, k in enumerate(row):
-                    if not into_c[k].is_zero:
-                        f = tables.into[g.source][i]
-                        zero = zero_morphism(f.source, g.target, g.mode)
-                        zero_id = tables.intern[g.target][zero]
-                        tables.rows[g] = row[:i] + (zero_id,) + row[i + 1 :]
-                        corrupted.append((g, f))
-                        return tables
+            if not corrupted:
+                corrupted.append(corrupt_first_nonzero(tables))
             return tables
 
         monkeypatch.setattr(verification, "_hom_tables", corrupting)
@@ -310,6 +505,56 @@ class TestTabulatedChecksCatchCorruption:
 
 
 class TestVerifyCliFailurePath:
+    def test_hom_set_missing_a_morphism_fails_with_the_pair(self, monkeypatch, capsys):
+        # Hom(dot, dot) without its zero morphism: a composite that lands
+        # on it has no key in the table, which is a failure, not a KeyError
+        full = category.hom_set
+        dropped = []
+
+        def missing_zero(a, b, mode):
+            ms = full(a, b, mode)
+            if a.size == b.size == 1:
+                dropped[:] = [m for m in ms if m.is_zero]
+                return tuple(m for m in ms if not m.is_zero)
+            return ms
+
+        for module in (verification, hom_tables):
+            monkeypatch.setattr(module, "hom_set", missing_zero)
+        code = main(["verify", "--family", "fin", "--max-size", "2", "--quick"])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 1
+        failed = {line.split()[1] for line in lines if line.startswith("FAIL")}
+        table_checks = (
+            "unit-laws",
+            "associativity",
+            "kernel-universal",
+            "cokernel-universal",
+            "mono-epi-cancellation",
+        )
+        assert {f"category.{name}[n<=2]" for name in table_checks} <= failed
+        pair = json.loads("\n".join(lines[lines.index("counterexample:") + 1 :]))
+        assert set(pair) == {"f", "g"}
+        f, g = (jsonio.morphism_from_doc(pair[k]) for k in ("f", "g"))
+        assert compose(g, f) in dropped
+
+    def test_hom_set_missing_an_identity(self, monkeypatch):
+        # no composite of fin up to 1 lands on id_dot once it is dropped
+        full = category.hom_set
+
+        def missing_identity(a, b, mode):
+            ms = full(a, b, mode)
+            if a.size == b.size == 1:
+                return tuple(m for m in ms if m.is_zero)
+            return ms
+
+        for module in (verification, hom_tables):
+            monkeypatch.setattr(module, "hom_set", missing_identity)
+        ctx = fin_up_to(1)
+        dot = verification._objects_of(ctx, 1)[1]
+        result = check_unit_laws(ctx, 1)
+        assert not result.passed
+        assert result.counterexample == jsonio.morphism_to_doc(identity(dot, ctx.mode))
+
     def test_exit_one_with_counterexample(self, monkeypatch, capsys):
         def fake_run(*args, **kwargs):
             return [CheckResult("fake.axiom", False, "1 failure(s)", {"why": "broken"})]
