@@ -8,12 +8,19 @@ sampled, with one exception: the Hopf-relation checks draw seeded random
 relabelings.
 
 The unit, associativity, cancellation and universal checks read one
-composition table per family context (:class:`hom_tables.HomTables`),
-kept in ``ctx.memo["hom_tables"]``.  Every morphism into an object is
-interned there under an int key, each composite is computed on those
-keys, and the checks read rows of ints.  The table is built on first
-use and replaced only when a larger bound is asked for; a check at a
-smaller bound reads its prefix.
+composition table per family context (:class:`_HomTables`), kept in
+``ctx.memo["hom_tables"]``.  Objects are numbered, and every morphism
+into each object c is interned under the flat key (source index, I1,
+I2, fmap).  For every morphism g: b -> c the row ``f -> g o f`` over the
+morphisms f into b is built on those keys: one pass over f's (domain
+element, image) pairs gives K1, h and K3 (:func:`_composite_key`), and
+the composite's key is looked up among the morphisms into c.  Rows are
+tuples of ints indexed by (target, interned index), so no check hashes
+a morphism.  Objects are ordered by size, so the objects of a smaller
+bound, their blocks in each row and their interned indices are a prefix
+of a larger table.  The table is built on first use and replaced only
+when a larger bound is asked for; a check at a smaller bound reads its
+prefix.
 :func:`category_suite` is the list of the public checks.
 
 No composite goes unvalidated although none is built as a
@@ -44,13 +51,16 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass
+from collections.abc import Iterable
+from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter, ne
 from typing import Any
 
 from . import jsonio
 from .category import (
     CategoryObject,
+    Morphism,
     cokernel,
     epis,
     hom_set,
@@ -90,9 +100,9 @@ from .incidence import (
     schmitt_unit,
     verify_hopf_relation,
 )
-from .hom_tables import HomTables, arrow, disagreements, gather, tally
 from .ideals import is_order_ideal, order_ideals
 from .posets import (
+    MapMode,
     automorphisms,
     canonical_form,
     find_isomorphisms,
@@ -126,6 +136,127 @@ def _result(name: str, failures: list, checked: int, detail: str = "") -> CheckR
 # category suite
 
 
+@dataclass
+class _HomTables:
+    """Interned morphisms into each object plus full composition rows.
+
+    Objects are named by their index in ``objects``.  ``into[c]`` lists
+    the morphisms into object c source by source: ``blocks[c][a]`` is the
+    slice holding ``hom_set(objects[a], objects[c])``.  ``intern[c]`` maps
+    the key (source index, I1, I2, fmap) of each to its index in
+    ``into[c]``.  ``rows[c][j]`` is the row of g = into[c][j]: b -> c; its
+    i-th entry is the index in ``into[c]`` of g o into[b][i], or -1 when
+    the key of that composite is not interned.  ``unmatched`` lists each
+    such pair as (largest index among a, b and c; g; f).
+    """
+
+    objects: list[CategoryObject]
+    mode: MapMode
+    max_size: int
+    into: list[list[Morphism]] = field(default_factory=list)
+    blocks: list[list[tuple[int, int]]] = field(default_factory=list)
+    intern: list[dict[tuple, int]] = field(default_factory=list)
+    rows: list[list[tuple[int, ...]]] = field(default_factory=list)
+    unmatched: list[tuple[int, Morphism, Morphism]] = field(default_factory=list)
+
+    def build(self) -> None:
+        arrows: list[list[tuple]] = []
+        for target in self.objects:
+            incoming: list[Morphism] = []
+            into_arrows = []
+            blocks = []
+            for a, source in enumerate(self.objects):
+                start = len(incoming)
+                incoming.extend(hom_set(source, target, self.mode))
+                into_arrows.extend(_arrow(m, a) for m in incoming[start:])
+                blocks.append((start, len(incoming)))
+            self.into.append(incoming)
+            self.blocks.append(blocks)
+            self.intern.append({key: j for j, (key, _, _) in enumerate(into_arrows)})
+            arrows.append(into_arrows)
+        for c, into_c in enumerate(arrows):
+            intern_c = self.intern[c]
+            rows_c = []
+            for j, g in enumerate(into_c):
+                b = g[0][0]
+                row = tuple([intern_c.get(_composite_key(g, f), -1) for f in arrows[b]])
+                if -1 in row:
+                    self.unmatched.extend(
+                        (max(arrows[b][i][0][0], b, c), self.into[c][j], self.into[b][i])
+                        for i, k in enumerate(row)
+                        if k < 0
+                    )
+                rows_c.append(row)
+            self.rows.append(rows_c)
+
+    def count(self, max_size: int) -> int:
+        """The number of objects of size <= ``max_size``, a prefix of ``objects``."""
+        return sum(1 for x in self.objects if x.size <= max_size)
+
+    def unmatched_among(self, count: int) -> list[dict[str, Any]]:
+        """A failure per pair among the first ``count`` objects whose composite is not interned."""
+        return [
+            {"f": jsonio.morphism_to_doc(f), "g": jsonio.morphism_to_doc(g)}
+            for top, g, f in self.unmatched
+            if top < count
+        ]
+
+
+def _arrow(m: Morphism, source: int) -> tuple:
+    """m as (key, domain bits, positions), for composing at the key level.
+
+    The key (source, I1, I2, fmap) interns m, where ``source`` is the
+    index of m's source object in the table (-1 outside it).  The domain
+    bits are ``1 << x`` for x in P1 \\ I1 ascending, parallel to fmap;
+    ``positions[y]`` is m(y), or -1 for y in I1.
+    """
+    domain = m.domain_elements
+    positions = [-1] * m.source.size
+    for x, y in zip(domain, m.fmap):
+        positions[x] = y
+    return (source, m.i1, m.i2, m.fmap), tuple([1 << x for x in domain]), positions
+
+
+def _composite_key(g: tuple, f: tuple) -> tuple:
+    """The key of g o f, for the arrows of f: a -> b and g: b -> c.
+
+    One pass over f's (domain element, image) pairs: x joins K1 when f(x)
+    lies in g's kernel ideal, and otherwise maps to g(f(x)); these images,
+    in order, are h, and they make up K3.  Nothing is validated here: the
+    table looks the key up among the validated morphisms into c.
+    """
+    positions = g[2]
+    (source, k1, _, fmap), domain_bits, _ = f
+    k3 = 0
+    hmap = []
+    for x_bit, y in zip(domain_bits, fmap):
+        z = positions[y]
+        if z < 0:
+            k1 |= x_bit
+        else:
+            k3 |= 1 << z
+            hmap.append(z)
+    return source, k1, k3, tuple(hmap)
+
+
+def _tally(
+    pairs: Iterable[tuple[Morphism, Morphism, int]], intern: dict[tuple, int], failures: list
+) -> Counter:
+    """Count the composites g o f over ``(g, f, f's source index)`` by index in ``intern``.
+
+    A composite whose key is not interned is a failure, with the pair as
+    its counterexample.
+    """
+    counts: Counter = Counter()
+    for g, f, source in pairs:
+        i = intern.get(_composite_key(_arrow(g, -1), _arrow(f, source)))
+        if i is None:
+            failures.append({"f": jsonio.morphism_to_doc(f), "g": jsonio.morphism_to_doc(g)})
+        else:
+            counts[i] += 1
+    return counts
+
+
 def _objects_of(ctx: FamilyContext, max_size: int) -> list[CategoryObject]:
     return [
         CategoryObject(cls.representative)
@@ -134,11 +265,11 @@ def _objects_of(ctx: FamilyContext, max_size: int) -> list[CategoryObject]:
     ]
 
 
-def _hom_tables(ctx: FamilyContext, max_size: int) -> HomTables:
+def _hom_tables(ctx: FamilyContext, max_size: int) -> _HomTables:
     """The context's table; built on first use, replaced for a larger bound."""
     tables = ctx.memo.get("hom_tables")
     if tables is None or tables.max_size < max_size:
-        tables = HomTables(_objects_of(ctx, max_size), ctx.mode, max_size)
+        tables = _HomTables(_objects_of(ctx, max_size), ctx.mode, max_size)
         tables.build()
         ctx.memo["hom_tables"] = tables
     return tables
@@ -150,7 +281,7 @@ def check_unit_laws(ctx: FamilyContext, max_size: int) -> CheckResult:
     tables = _hom_tables(ctx, max_size)
     n = tables.count(max_size)
     ids = [identity(x, ctx.mode) for x in tables.objects[:n]]
-    identities = [tables.intern[a].get(arrow(m, a)[0]) for a, m in enumerate(ids)]
+    identities = [tables.intern[a].get(_arrow(m, a)[0]) for a, m in enumerate(ids)]
     failures = tables.unmatched_among(n)
     failures += [jsonio.morphism_to_doc(m) for m, i in zip(ids, identities) if i is None]
     if failures:
@@ -168,12 +299,24 @@ def check_unit_laws(ctx: FamilyContext, max_size: int) -> CheckResult:
     return _result(name, failures, checked)
 
 
+def _gather(indices: tuple[int, ...]):
+    """``row -> tuple(row[i] for i in indices)``; one ``itemgetter`` when it can.
+
+    ``itemgetter`` with a single index returns the item, not a 1-tuple.
+    """
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    return lambda row: tuple(row[i] for i in indices)
+
+
 def check_associativity(ctx: FamilyContext, max_size: int) -> CheckResult:
     """(h o g) o f = h o (g o f) over every composable triple.
 
-    :func:`disagreements` finds each (g, d) whose block of h: c -> d has a
-    failing triple; only such a block is walked again, on the int rows,
-    to name each failure.
+    For g: b -> c, row_g becomes one ``itemgetter`` that gathers row_h at
+    every f into b, so a triple is ``row_h[row_g[f]] == row_{h o g}[f]``,
+    two table lookups.  ``map`` compares the whole block of h: c -> d for
+    g at once; only a block that disagrees is walked again to name each
+    failing triple.
     """
     name = f"category.associativity[n<={max_size}]"
     tables = _hom_tables(ctx, max_size)
@@ -181,27 +324,41 @@ def check_associativity(ctx: FamilyContext, max_size: int) -> CheckResult:
     failures = tables.unmatched_among(n)
     if failures:
         return _result(name, failures, 0)
-    for b, c, g_id, d in disagreements(tables, n):
+    # the nonempty blocks of h: c -> d, per c
+    h_blocks: list[list[tuple]] = [[] for _ in range(n)]
+    for d in range(n):
+        rows_d = tables.rows[d]
+        for c, (lo, hi) in enumerate(tables.blocks[d][:n]):
+            if hi > lo:
+                h_blocks[c].append((d, rows_d, lo, rows_d[lo:hi]))
+    triples = 0
+    for b in range(n):
+        # f ranges over the prefix block of the rows into b
         width = tables.blocks[b][n - 1][1]
-        via = gather(tables.rows[c][g_id][:width])
-        h_lo, h_hi = tables.blocks[d][c]
-        for h_id in range(h_lo, h_hi):
-            row_h = tables.rows[d][h_id]
-            via_g = via(row_h)
-            row_hg = tables.rows[d][row_h[g_id]][:width]
-            if via_g != row_hg:
-                bad = next(i for i, (x, y) in enumerate(zip(via_g, row_hg)) if x != y)
-                failures.append(
-                    {
-                        "f": jsonio.morphism_to_doc(tables.into[b][bad]),
-                        "g": jsonio.morphism_to_doc(tables.into[c][g_id]),
-                        "h": jsonio.morphism_to_doc(tables.into[d][h_id]),
-                    }
-                )
-    size = [[hi - lo for lo, hi in tables.blocks[x][:n]] for x in range(n)]
-    triples = sum(
-        sum(size[b]) * size[c][b] * size[d][c] for b in range(n) for c in range(n) for d in range(n)
-    )
+        cut = itemgetter(slice(width))
+        for c in range(n):
+            for g_id in range(*tables.blocks[c][b]):
+                via = _gather(cut(tables.rows[c][g_id]))
+                at_g = itemgetter(g_id)
+                for d, rows_d, lo, rows_h in h_blocks[c]:
+                    triples += width * len(rows_h)
+                    rows_hg = map(cut, map(rows_d.__getitem__, map(at_g, rows_h)))
+                    if not any(map(ne, map(via, rows_h), rows_hg)):
+                        continue
+                    for h_id, row_h in enumerate(rows_h, lo):
+                        via_g = via(row_h)
+                        row_hg = cut(rows_d[row_h[g_id]])
+                        if via_g != row_hg:
+                            bad = next(
+                                i for i, (x, y) in enumerate(zip(via_g, row_hg)) if x != y
+                            )
+                            failures.append(
+                                {
+                                    "f": jsonio.morphism_to_doc(tables.into[b][bad]),
+                                    "g": jsonio.morphism_to_doc(tables.into[c][g_id]),
+                                    "h": jsonio.morphism_to_doc(tables.into[d][h_id]),
+                                }
+                            )
     return _result(name, failures, triples, "triples")
 
 
@@ -232,7 +389,7 @@ def check_kernel_universal(ctx: FamilyContext, max_size: int) -> CheckResult:
                     if through_ker is None:
                         ker = kernel(m)
                         vs = hom_set(objects[k], ker.source, mode)
-                        through_ker = tally(((ker, v, k) for v in vs), tables.intern[a], failures)
+                        through_ker = _tally(((ker, v, k) for v in vs), tables.intern[a], failures)
                         tallies[(m.i1, k)] = through_ker
                     lo, hi = blocks_a[k]
                     for i in range(lo, hi):
@@ -275,7 +432,7 @@ def check_cokernel_universal(ctx: FamilyContext, max_size: int) -> CheckResult:
                     if through_cok is None:
                         cok = cokernel(m)
                         vs = hom_set(cok.target, objects[k], mode)
-                        through_cok = tally(((v, cok, b) for v in vs), tables.intern[k], failures)
+                        through_cok = _tally(((v, cok, b) for v in vs), tables.intern[k], failures)
                         tallies[(b, m.i2, k)] = through_cok
                     lo, hi = tables.blocks[k][b]
                     for i in range(lo, hi):

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 
 import inccat.category as category
-import inccat.hom_tables as hom_tables
 import inccat.verification as verification
 from inccat import jsonio
 from inccat.category import (
@@ -223,14 +222,14 @@ def test_key_level_table_matches_compose(family):
     assert tables.into == into and not tables.unmatched
     intern = [{m: i for i, m in enumerate(ms)} for ms in into]
     arrows = [
-        [hom_tables.arrow(f, a) for a, (lo, hi) in enumerate(blocks) for f in into_b[lo:hi]]
+        [verification._arrow(f, a) for a, (lo, hi) in enumerate(blocks) for f in into_b[lo:hi]]
         for into_b, blocks in zip(into, tables.blocks)
     ]
     row_count = 0
     for b, c, g, composites in rows:
-        g_arrow = hom_tables.arrow(g, -1)
+        g_arrow = verification._arrow(g, -1)
         for f, f_arrow, gf in zip(into[b], arrows[b], composites):
-            key = hom_tables.composite_key(g_arrow, f_arrow)
+            key = verification._composite_key(g_arrow, f_arrow)
             assert key[0] == f_arrow[0][0] and as_morphism(key, f, g) == gf, (g, f)
         g_id = into[c].index(g)
         assert tables.rows[c][g_id] == tuple([intern[c][gf] for gf in composites]), g
@@ -262,7 +261,7 @@ def test_key_composite_matches_compose_on_random_pairs(data):
     b, c = (data.draw(st.sampled_from(objects)) for _ in range(2))
     f = data.draw(st.sampled_from(hom_set(objects[a_index], b, mode)))
     g = data.draw(st.sampled_from(hom_set(b, c, mode)))
-    key = hom_tables.composite_key(hom_tables.arrow(g, -1), hom_tables.arrow(f, a_index))
+    key = verification._composite_key(verification._arrow(g, -1), verification._arrow(f, a_index))
     assert key[0] == a_index
     assert as_morphism(key, f, g) == compose(g, f)
 
@@ -270,12 +269,12 @@ def test_key_composite_matches_compose_on_random_pairs(data):
 def sabotage_composites(monkeypatch, corrupt):
     """Route every key-level composite through ``corrupt(second, first, key)``.
 
-    ``hom_tables.arrow`` is wrapped so that each arrow maps back to the
+    ``verification._arrow`` is wrapped so that each arrow maps back to the
     morphism it was made from; ``corrupt`` sees both morphisms and the key
     of the true composite, and returns the key the check reads instead.
     """
     made = {}
-    arrow, composite_key = hom_tables.arrow, hom_tables.composite_key
+    arrow, composite_key = verification._arrow, verification._composite_key
 
     def recording(m, source):
         out = arrow(m, source)
@@ -285,50 +284,13 @@ def sabotage_composites(monkeypatch, corrupt):
     def sabotaged(g, f):
         return corrupt(made[id(g)][0], made[id(f)][0], composite_key(g, f))
 
-    monkeypatch.setattr(hom_tables, "arrow", recording)
-    monkeypatch.setattr(hom_tables, "composite_key", sabotaged)
+    monkeypatch.setattr(verification, "_arrow", recording)
+    monkeypatch.setattr(verification, "_composite_key", sabotaged)
 
 
 def zero_key(key, first):
     """The key of the zero morphism out of ``first``'s source."""
     return key[0], first.source.poset.full_mask, 0, ()
-
-
-def one_run_per_source(tables, n):
-    return [(a, a + 1) for a in range(n)]
-
-
-# how the associativity scan compares rows: by bytes in the runs that
-# source_runs finds, by bytes with one run per source object, or by
-# gathering ints (what it does when a block holds more than 256 morphisms)
-SCANS = {
-    "byte-runs": None,
-    "run-per-source": one_run_per_source,
-    "ints": lambda tables, n: None,
-}
-
-
-@pytest.mark.parametrize("scan", SCANS)
-@pytest.mark.parametrize(
-    "make, bound",
-    [
-        (lambda: fin_up_to(3), 3),
-        (lambda: forests_up_to(4), 3),
-        (lambda: colored_sets_up_to(3, 2), 3),
-    ],
-    ids=["fin3", "forests4-prefix", "csets2-3"],
-)
-def test_associativity_scans_agree(make, bound, scan, monkeypatch):
-    # the int gather on a table of the check's own bound is the oracle;
-    # each scan runs on a table of the family's bound, read by prefix
-    with monkeypatch.context() as ints:
-        ints.setattr(hom_tables, "source_runs", SCANS["ints"])
-        expected = check_associativity(make(), bound)
-    if SCANS[scan] is not None:
-        monkeypatch.setattr(hom_tables, "source_runs", SCANS[scan])
-    ctx = make()
-    verification._hom_tables(ctx, ctx.max_size)
-    assert check_associativity(ctx, bound) == expected and expected.passed
 
 
 def corrupt_first_nonzero(tables):
@@ -345,16 +307,34 @@ def corrupt_first_nonzero(tables):
     raise AssertionError("no nonzero composite")
 
 
-def test_associativity_scans_name_the_same_failures(monkeypatch):
+def test_associativity_names_each_failing_triple():
+    # oracle: every triple read from the corrupted rows one by one, named
+    # by its first failing f, in (b, c, g, d, h) order
     ctx = fin_up_to(3)
-    corrupt_first_nonzero(verification._hom_tables(ctx, 3))
-    results = []
-    for scan in SCANS.values():
-        if scan is not None:
-            monkeypatch.setattr(hom_tables, "source_runs", scan)
-        results.append(check_associativity(ctx, 3))
-    assert not results[0].passed
-    assert all(r == results[0] for r in results)
+    tables = verification._hom_tables(ctx, 3)
+    corrupt_first_nonzero(tables)
+    n, blocks, rows, into = len(tables.objects), tables.blocks, tables.rows, tables.into
+    expected = []
+    for b in range(n):
+        for c in range(n):
+            for g in range(*blocks[c][b]):
+                for d in range(n):
+                    for h in range(*blocks[d][c]):
+                        bad = [
+                            f
+                            for f in range(len(into[b]))
+                            if rows[d][h][rows[c][g][f]] != rows[d][rows[d][h][g]][f]
+                        ]
+                        if bad:
+                            expected.append((into[b][bad[0]], into[c][g], into[d][h]))
+    result = check_associativity(ctx, 3)
+    assert expected and result.details == f"{len(expected)} failure(s)"
+    f, g, h = expected[0]
+    assert result.counterexample == {
+        "f": jsonio.morphism_to_doc(f),
+        "g": jsonio.morphism_to_doc(g),
+        "h": jsonio.morphism_to_doc(h),
+    }
 
 
 class TestFailureDetection:
@@ -381,13 +361,8 @@ class TestFailureDetection:
             return key
 
         sabotage_composites(monkeypatch, flaky)
-        for scan in SCANS.values():
-            calls["n"] = 0
-            with monkeypatch.context() as m:
-                if scan is not None:
-                    m.setattr(hom_tables, "source_runs", scan)
-                result = check_associativity(fresh_fin, 2)
-            assert not result.passed
+        result = check_associativity(fresh_fin, 2)
+        assert not result.passed
 
 
 def corrupt_one_composite(monkeypatch, chooses):
@@ -520,8 +495,7 @@ class TestVerifyCliFailurePath:
                 return tuple(m for m in ms if not m.is_zero)
             return ms
 
-        for module in (verification, hom_tables):
-            monkeypatch.setattr(module, "hom_set", missing_zero)
+        monkeypatch.setattr(verification, "hom_set", missing_zero)
         code = main(["verify", "--family", "fin", "--max-size", "2", "--quick"])
         lines = capsys.readouterr().out.splitlines()
         assert code == 1
@@ -549,8 +523,7 @@ class TestVerifyCliFailurePath:
                 return tuple(m for m in ms if m.is_zero)
             return ms
 
-        for module in (verification, hom_tables):
-            monkeypatch.setattr(module, "hom_set", missing_identity)
+        monkeypatch.setattr(verification, "hom_set", missing_identity)
         ctx = fin_up_to(1)
         dot = verification._objects_of(ctx, 1)[1]
         result = check_unit_laws(ctx, 1)
