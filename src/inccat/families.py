@@ -98,9 +98,9 @@ class FamilyContext:
 
     ``memo`` holds the tables of results that depend on the context (the
     Hall split index per degree, the split tables of component classes,
-    antipodes, interval classes and the composition table of the
-    category checks), one named entry each;
-    they live and die with the context.
+    antipodes, the interval classes of each poset's ideal splits under
+    its order and colors, and the composition table of the category
+    checks), one named entry each; they live and die with the context.
     """
 
     name: str

@@ -55,6 +55,9 @@ from .posets import (
 
 Scalar = int | Fraction
 
+# The coefficient of every key outside a support; a Fraction is immutable.
+ZERO = Fraction(0)
+
 
 class Combination:
     """A finitely supported map from keys to exact rationals.
@@ -80,7 +83,7 @@ class Combination:
         return cls()
 
     def coeff(self, key) -> Fraction:
-        return self.coeffs.get(key, Fraction(0))
+        return self.coeffs.get(key, ZERO)
 
     def support(self) -> set:
         return set(self.coeffs)

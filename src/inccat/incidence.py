@@ -31,7 +31,7 @@ from fractions import Fraction
 
 from .errors import TruncationError
 from .families import FamilyContext, IsoClass
-from .hall import Combination, HallElement, TensorElement, counit
+from .hall import ZERO, Combination, HallElement, TensorElement, counit
 from .ideals import interval_to_quotient_lattice, order_ideals, sum_decomposition
 from .posets import (
     EMPTY_POSET,
@@ -77,23 +77,51 @@ class IncidenceElement(Combination):
 def interval_class(p: Poset, lower: int, upper: int, ctx: FamilyContext) -> IntervalClass:
     """Classify the interval [I, L] of J_P via its convex quotient poset.
 
-    Memoized in ``ctx.memo["intervals"]`` under ``(p.leq, p.colors, lower,
-    upper)``: the class depends on the order and the colors, not on the
-    labels.  Only classes are stored, so an invalid interval raises on
-    every call.  The table is deliberately not the Hall split index,
-    although both classify X_I and X_{P \\ I}: the Schmitt side is the
-    independent oracle for ``hall.product`` and must reach its classes by
-    its own route.
+    Not memoised: :func:`interval_row` keeps the classes of each poset's
+    ideal splits in ``ctx.memo["intervals"]`` under ``(p.leq, p.colors)``.
     """
+    return IntervalClass(ctx.class_of(interval_to_quotient_lattice(p, lower, upper).quotient))
+
+
+Row = tuple[tuple[IntervalClass, IntervalClass], ...]
+
+
+def interval_row(p: Poset, ctx: FamilyContext) -> Row:
+    """The classes of [bottom, I] and [I, top] for each ideal I of P, in
+    lattice order; a row that fails to classify is not stored.  Neither the
+    Hall split index nor the ideal form reads this table: the Schmitt side
+    is the independent oracle for ``hall.product``."""
     table = ctx.memo.setdefault("intervals", {})
-    memo_key = (p.leq, p.colors, lower, upper)
-    hit = table.get(memo_key)
-    if hit is not None:
-        return hit
-    corr = interval_to_quotient_lattice(p, lower, upper)
-    result = IntervalClass(ctx.class_of(corr.quotient))
-    table[memo_key] = result
-    return result
+    key = (p.leq, p.colors)
+    row = table.get(key)
+    if row is None:
+        row = table[key] = tuple(
+            (interval_class(p, 0, i, ctx), interval_class(p, i, p.full_mask, ctx))
+            for i in order_ideals(p).ideals
+        )
+    return row
+
+
+def ideal_form_row(p: Poset, ctx: FamilyContext) -> Row:
+    """The classes of J_I and J_{P \\ I} for each ideal I of P, from fresh subposets."""
+
+    def side(mask: int) -> IntervalClass:
+        return IntervalClass(ctx.class_of(induced_subposet(p, mask)[0]))
+
+    return tuple((side(i), side(p.full_mask & ~i)) for i in order_ideals(p).ideals)
+
+
+def convolve(f: IncidenceElement, g: IncidenceElement, row: Row) -> Fraction:
+    """The sum of f(low) g(up) over the pairs (low, up) of a row."""
+    fc, gc = f.coeffs, g.coeffs
+    acc = ZERO
+    for low, up in row:
+        c1 = fc.get(low)
+        if c1 is not None:
+            c2 = gc.get(up)
+            if c2 is not None:
+                acc += c1 * c2
+    return acc
 
 
 def phi(f: HallElement, ctx: FamilyContext) -> IncidenceElement:
@@ -112,37 +140,14 @@ def schmitt_product(f: IncidenceElement, g: IncidenceElement, p: Poset, ctx: Fam
     [bottom, x] and [x, top], which the interval correspondence converts
     to the ideal lattices of X_I and X_{P \\ I}.
     """
-    full = p.full_mask
-    acc = Fraction(0)
-    for ideal in order_ideals(p).ideals:
-        c1 = f.coeff(interval_class(p, 0, ideal, ctx))
-        if not c1:
-            continue
-        c2 = g.coeff(interval_class(p, ideal, full, ctx))
-        if c2:
-            acc += c1 * c2
-    return acc
+    return convolve(f, g, interval_row(p, ctx))
 
 
 def schmitt_product_ideal_form(
     f: IncidenceElement, g: IncidenceElement, p: Poset, ctx: FamilyContext
 ) -> Fraction:
-    """The specialized form: sum over ideals of f([J_I]) g([J_{P \\ I}]).
-
-    Bypasses the interval machinery entirely; agreement with
-    :func:`schmitt_product` is the interval/ideal dictionary test.
-    """
-    acc = Fraction(0)
-    for ideal in order_ideals(p).ideals:
-        sub, _ = induced_subposet(p, ideal)
-        c1 = f.coeff(IntervalClass(ctx.class_of(sub)))
-        if not c1:
-            continue
-        rest, _ = induced_subposet(p, p.full_mask & ~ideal)
-        c2 = g.coeff(IntervalClass(ctx.class_of(rest)))
-        if c2:
-            acc += c1 * c2
-    return acc
+    """The specialized form: sum over ideals of f([J_I]) g([J_{P \\ I}])."""
+    return convolve(f, g, ideal_form_row(p, ctx))
 
 
 def schmitt_product_element(
@@ -297,12 +302,10 @@ def verify_hopf_relation(ctx: FamilyContext, cutoff: int, seed: int = 0) -> Hopf
                 violations.append(f"no admissible isomorphism onto relabeled {cls.hex_key}")
                 continue
             iso = isos[0]
-            for ideal in order_ideals(p).ideals:
+            for ideal, (low_p, up_p) in zip(order_ideals(p).ideals, interval_row(p, ctx)):
                 order_checks += 1
                 image = iso.apply_mask(ideal)
-                low_p = interval_class(p, 0, ideal, ctx)
                 low_q = interval_class(q, 0, image, ctx)
-                up_p = interval_class(p, ideal, p.full_mask, ctx)
                 up_q = interval_class(q, image, q.full_mask, ctx)
                 if low_p != low_q or up_p != up_q:
                     violations.append(

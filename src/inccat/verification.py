@@ -89,14 +89,14 @@ from .hall import (
 )
 from .incidence import (
     IncidenceElement,
-    IntervalClass,
+    convolve,
+    ideal_form_row,
     phi,
     schmitt_antipode,
     schmitt_coproduct,
     schmitt_counit,
     schmitt_product,
     schmitt_product_element,
-    schmitt_product_ideal_form,
     schmitt_unit,
     verify_hopf_relation,
 )
@@ -496,33 +496,29 @@ def check_torsor(ctx: FamilyContext, max_size: int) -> CheckResult:
     failures: list[Any] = []
     checked = 0
     for p_obj in objects:
-        lattice = order_ideals(p_obj.poset)
+        p = p_obj.poset
+        sides = []
+        for ideal in order_ideals(p).ideals:
+            sub, _ = induced_subposet(p, ideal)
+            rest, _ = induced_subposet(p, p.full_mask & ~ideal)
+            sides.append(
+                (ideal, canonical_form(sub, ctx.mode), len(automorphisms(sub, ctx.mode)),
+                 canonical_form(rest, ctx.mode), len(automorphisms(rest, ctx.mode)))
+            )
         for q_obj in objects:
             q_key = canonical_form(q_obj.poset, ctx.mode)
             into = hom_set(q_obj, p_obj, ctx.mode)
             out_of = hom_set(p_obj, q_obj, ctx.mode)
-            for ideal in lattice.ideals:
+            for ideal, sub_key, sub_auts, rest_key, rest_auts in sides:
                 checked += 1
                 mono_count = sum(1 for m in into if is_mono(m) and m.i2 == ideal)
-                sub, _ = induced_subposet(p_obj.poset, ideal)
-                mono_expected = (
-                    len(automorphisms(sub, ctx.mode))
-                    if canonical_form(sub, ctx.mode) == q_key
-                    else 0
-                )
+                mono_expected = sub_auts if sub_key == q_key else 0
                 epi_count = sum(1 for m in out_of if is_epi(m) and m.i1 == ideal)
-                rest, _ = induced_subposet(
-                    p_obj.poset, p_obj.poset.full_mask & ~ideal
-                )
-                epi_expected = (
-                    len(automorphisms(rest, ctx.mode))
-                    if canonical_form(rest, ctx.mode) == q_key
-                    else 0
-                )
+                epi_expected = rest_auts if rest_key == q_key else 0
                 if mono_count != mono_expected or epi_count != epi_expected:
                     failures.append(
                         {
-                            "P": jsonio.poset_to_doc(p_obj.poset),
+                            "P": jsonio.poset_to_doc(p),
                             "Q": jsonio.poset_to_doc(q_obj.poset),
                             "ideal": ideal,
                             "monos": [mono_count, mono_expected],
@@ -543,21 +539,24 @@ def check_ses_classification(ctx: FamilyContext, max_size: int) -> CheckResult:
     failures: list[Any] = []
     checked = 0
     for b in objects:
-        epis_to = [(c, epis(b, c, ctx.mode)) for c in objects]
+        sides = {
+            i: (
+                canonical_form(induced_subposet(b.poset, i)[0], ctx.mode),
+                canonical_form(induced_subposet(b.poset, b.poset.full_mask & ~i)[0], ctx.mode),
+            )
+            for i in order_ideals(b.poset).ideals
+        }
+        epis_to = [(c, canonical_form(c.poset, ctx.mode), epis(b, c, ctx.mode)) for c in objects]
         for a in objects:
+            a_key = canonical_form(a.poset, ctx.mode)
             monos_in = monos(a, b, ctx.mode)
-            for c, epis_out in epis_to:
+            for c, c_key, epis_out in epis_to:
                 for f in monos_in:
                     for g in epis_out:
                         if f.i2 != g.i1:
                             continue
                         checked += 1
-                        sub, _ = induced_subposet(b.poset, f.i2)
-                        rest, _ = induced_subposet(b.poset, b.poset.full_mask & ~f.i2)
-                        ok = canonical_form(a.poset, ctx.mode) == canonical_form(
-                            sub, ctx.mode
-                        ) and canonical_form(c.poset, ctx.mode) == canonical_form(rest, ctx.mode)
-                        if not ok:
+                        if sides[f.i2] != (a_key, c_key):
                             failures.append(
                                 {
                                     "f": jsonio.morphism_to_doc(f),
@@ -769,14 +768,14 @@ def check_interval_ideal_dictionary(ctx: FamilyContext, total: int) -> CheckResu
     """Interval convolution equals the specialized ideal form everywhere."""
     failures: list[Any] = []
     checked = 0
-    for a, b in _class_tuples(ctx, total, 2):
-        fa = phi(delta(a), ctx)
-        fb = phi(delta(b), ctx)
-        for size in range(total + 1):
-            for cls in ctx.classes(size):
+    pairs = [(a, b, phi(delta(a), ctx), phi(delta(b), ctx)) for a, b in _class_tuples(ctx, total, 2)]
+    for size in range(total + 1):
+        for cls in ctx.classes(size):
+            p = cls.representative
+            row = ideal_form_row(p, ctx)
+            for a, b, fa, fb in pairs:
                 checked += 1
-                p = cls.representative
-                if schmitt_product(fa, fb, p, ctx) != schmitt_product_ideal_form(fa, fb, p, ctx):
+                if schmitt_product(fa, fb, p, ctx) != convolve(fa, fb, row):
                     failures.append(
                         {"f": a.hex_key, "g": b.hex_key, "P": jsonio.poset_to_doc(p)}
                     )

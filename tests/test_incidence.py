@@ -1,8 +1,12 @@
+import functools
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
-from inccat.errors import NotAnIdealError
+from inccat import families
+from inccat.errors import NotAnIdealError, TruncationError
 from inccat.families import colored_sets_up_to, fin_up_to, sets_up_to
 from inccat.hall import HallElement, TensorElement, antipode, coproduct, delta, product
 from inccat.ideals import interval_to_quotient_lattice, order_ideals
@@ -10,6 +14,7 @@ from inccat.incidence import (
     IncidenceElement,
     IntervalClass,
     interval_class,
+    interval_row,
     phi,
     phi_inverse,
     schmitt_antipode,
@@ -21,7 +26,9 @@ from inccat.incidence import (
     schmitt_unit,
     verify_hopf_relation,
 )
-from inccat.posets import Poset
+from inccat.posets import MapMode, Poset, induced_subposet
+
+from conftest import posets as poset_strategy
 
 
 @pytest.fixture(scope="module")
@@ -59,48 +66,91 @@ class TestIntervalClasses:
         assert IntervalClass(fin.empty_class) != IntervalClass(fin.classes(1)[0])
 
 
-def nested_ideal_pairs(p):
-    ideals = order_ideals(p).ideals
-    return [(lower, upper) for upper in ideals for lower in ideals if lower & ~upper == 0]
+def by_intervals(p, ideal):
+    return (
+        interval_to_quotient_lattice(p, 0, ideal).quotient,
+        interval_to_quotient_lattice(p, ideal, p.full_mask).quotient,
+    )
+
+
+def by_subposets(p, ideal):
+    return induced_subposet(p, ideal)[0], induced_subposet(p, p.full_mask & ~ideal)[0]
+
+
+def fresh_row(p, ctx, sides=by_intervals):
+    """P's row classified afresh, ideal by ideal, from the two posets ``sides`` builds."""
+    return tuple(
+        tuple(IntervalClass(ctx.class_of(side)) for side in sides(p, ideal))
+        for ideal in order_ideals(p).ideals
+    )
 
 
 class TestIntervalMemo:
-    """``interval_class`` memoizes per context; the table never changes a class."""
+    """``interval_row`` memoizes one row per poset; the table never changes a class."""
 
     @pytest.mark.parametrize(
         "make", [lambda: fin_up_to(4), lambda: colored_sets_up_to(3, 2)], ids=["fin4", "csets2-3"]
     )
     def test_warm_memo_matches_fresh_classification(self, make):
         ctx = make()
-        cases = [
-            (cls.representative, lower, upper)
-            for cls in ctx.all_classes()
-            for lower, upper in nested_ideal_pairs(cls.representative)
-        ]
-        # warm the table in the reverse order, then read every entry back
-        for p, lower, upper in reversed(cases):
-            interval_class(p, lower, upper, ctx)
-        assert len(ctx.memo["intervals"]) == len(cases)
-        for p, lower, upper in cases:
-            fresh = IntervalClass(
-                ctx.class_of(interval_to_quotient_lattice(p, lower, upper).quotient)
-            )
-            assert interval_class(p, lower, upper, ctx) == fresh
+        reps = [cls.representative for cls in ctx.all_classes()]
+        # warm the table in the reverse order, then read every row back
+        for p in reversed(reps):
+            interval_row(p, ctx)
+        assert len(ctx.memo["intervals"]) == len(reps)
+        for p in reps:
+            assert interval_row(p, ctx) == fresh_row(p, ctx)
+            # the key ignores labels: a relabelled copy reads the same row
+            relabelled = p.relabel([f"x{i}" for i in range(p.size)])
+            assert interval_row(relabelled, ctx) is interval_row(p, ctx)
+        assert len(ctx.memo["intervals"]) == len(reps)
 
     def test_key_distinguishes_colors(self):
         ctx = colored_sets_up_to(3, 2)
         same, mixed = Poset((0b01, 0b10), colors=(0, 0)), Poset((0b01, 0b10), colors=(0, 1))
-        warm = interval_class(same, 0, 0b11, ctx)
-        assert interval_class(mixed, 0, 0b11, ctx) != warm
-        assert interval_class(mixed, 0, 0b11, ctx) == IntervalClass(ctx.class_of(mixed))
+        warm = interval_row(same, ctx)
+        assert interval_row(mixed, ctx) != warm
+        assert interval_row(mixed, ctx) == fresh_row(mixed, ctx)
+        assert interval_row(mixed, ctx)[0][1] == IntervalClass(ctx.class_of(mixed))
 
-    def test_errors_not_memoised(self, chain3):
-        ctx = fin_up_to(3)
-        assert interval_class(chain3, 0b001, 0b011, ctx).size == 1
+    def test_errors_not_memoised(self, chain2, chain3):
+        ctx = fin_up_to(2)
+        assert len(interval_row(chain2, ctx)) == 3
         for _ in range(2):
-            with pytest.raises(NotAnIdealError):
-                interval_class(chain3, 0b011, 0b001, ctx)
-        assert len(ctx.memo["intervals"]) == 1
+            with pytest.raises(TruncationError):
+                interval_row(chain3, ctx)
+        assert list(ctx.memo["intervals"]) == [(chain2.leq, chain2.colors)]
+
+
+@functools.cache
+def cfin(mode):
+    """Every 2-colored poset up to size 5, classified in the given map mode."""
+    return families._family("cfin:2", mode, 2, 5, lambda p: list(order_ideals(p).ideals))
+
+
+def ideal_by_ideal(f, g, row):
+    return sum((f.coeff(low) * g.coeff(up) for low, up in row), Fraction(0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(poset_strategy(max_size=5, num_colors=2), st.sampled_from(list(MapMode)), st.data())
+def test_products_match_ideal_by_ideal_sums(p, mode, data):
+    # The context is shared across examples, so the interval table is warm
+    # with other posets; the same order with other colors goes in first,
+    # so a key that ignored the colors would hand back its row.
+    ctx = cfin(mode)
+    interval_row(Poset(p.leq, None, tuple(1 - c for c in p.colors)), ctx)
+    classes = sorted({c for pair in fresh_row(p, ctx) for c in pair}, key=lambda c: c.iso.key)
+    classes += map(IntervalClass, data.draw(st.lists(st.sampled_from(ctx.all_classes()), max_size=3)))
+    coefficient = st.integers(-3, 3).map(Fraction)
+    f, g = (
+        IncidenceElement(data.draw(st.dictionaries(st.sampled_from(classes), coefficient)))
+        for _ in range(2)
+    )
+    expected = ideal_by_ideal(f, g, fresh_row(p, ctx))
+    assert schmitt_product(f, g, p, ctx) == expected
+    by_subposet = ideal_by_ideal(f, g, fresh_row(p, ctx, by_subposets))
+    assert schmitt_product_ideal_form(f, g, p, ctx) == by_subposet == expected
 
 
 class TestSchmittProduct:

@@ -4,8 +4,8 @@ change a result.
 Value-keyed tables (canonical keys, ideal lattices, hom sets) are module
 dicts that live as long as the process; per-context tables (the Hall
 split index per degree, the split tables of component classes, both
-antipodes and the interval classes) live in
-``FamilyContext.memo`` and die with the context.
+antipodes and the interval rows, one per poset under its order and
+colors) live in ``FamilyContext.memo`` and die with the context.
 """
 
 import gc

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import hypothesis.strategies as st
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 import inccat.category as category
+import inccat.incidence as incidence
 import inccat.verification as verification
 from inccat import jsonio
 from inccat.category import (
@@ -26,14 +28,16 @@ from inccat.families import (
     sets_up_to,
 )
 from inccat.ideals import order_ideals
-from inccat.posets import canonical_form, induced_subposet
+from inccat.posets import Poset, canonical_form, induced_subposet
 from inccat.verification import (
     CheckResult,
     category_suite,
     check_associativity,
     check_cokernel_universal,
+    check_interval_ideal_dictionary,
     check_kernel_universal,
     check_mono_epi_cancellation,
+    check_phi_intertwines,
     check_ses_classification,
     check_unit_laws,
     run_verification,
@@ -479,6 +483,55 @@ class TestTabulatedChecksCatchCorruption:
         assert corrupted
         assert not result.passed
         assert result.counterexample["side"] == "mono"
+
+
+def chain_of_two(ctx):
+    (chain,) = [c.representative for c in ctx.classes(2) if c.representative.covers]
+    return chain
+
+
+ANTICHAIN_OF_TWO = Poset((0b01, 0b10))
+
+
+class TestSchmittSuiteCatchesCorruption:
+    """One misclassified side of one poset's splits fails the dictionary.
+
+    Each test builds its own context, so the interval table starts cold.
+    Had the two routes shared a table, the corruption would reach both
+    sides of the dictionary and it would pass.
+    """
+
+    def test_misclassified_interval(self, fresh_fin, monkeypatch):
+        chain = chain_of_two(fresh_fin)
+        real = incidence.interval_to_quotient_lattice
+
+        def corrupt(p, lower, upper):
+            corr = real(p, lower, upper)
+            if p.leq == chain.leq and (lower, upper) == (0, p.full_mask):
+                return dataclasses.replace(corr, quotient=ANTICHAIN_OF_TWO)
+            return corr
+
+        monkeypatch.setattr(incidence, "interval_to_quotient_lattice", corrupt)
+        dictionary = check_interval_ideal_dictionary(fresh_fin, 3)
+        assert not dictionary.passed
+        assert dictionary.counterexample["P"] == jsonio.poset_to_doc(chain)
+        assert not check_phi_intertwines(fresh_fin, 3).passed
+
+    def test_misclassified_ideal_side(self, fresh_fin, monkeypatch):
+        chain = chain_of_two(fresh_fin)
+        real = incidence.induced_subposet
+
+        def corrupt(p, mask):
+            if p.leq == chain.leq and mask == p.full_mask:
+                return real(ANTICHAIN_OF_TWO, mask)
+            return real(p, mask)
+
+        monkeypatch.setattr(incidence, "induced_subposet", corrupt)
+        dictionary = check_interval_ideal_dictionary(fresh_fin, 3)
+        assert not dictionary.passed
+        assert dictionary.counterexample["P"] == jsonio.poset_to_doc(chain)
+        # phi's checks read the interval route only, which this leaves intact
+        assert check_phi_intertwines(fresh_fin, 3).passed
 
 
 class TestVerifyCliFailurePath:
