@@ -44,16 +44,27 @@ from .posets import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IntervalClass:
     """The class of the lattice J_P under the Hopf relation.
 
     J_P ~ J_Q holds exactly when P and Q are isomorphic through the
     family's map class, so interval classes are in bijection with the
     iso-classes of the underlying posets and are represented by them.
+    Equality and hash read the canonical key directly, as
+    :class:`IsoClass` does: convolution's dict lookups then cost one
+    Python frame each, not two.
     """
 
     iso: IsoClass
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, IntervalClass):
+            return NotImplemented
+        return self.iso.key == other.iso.key
+
+    def __hash__(self) -> int:
+        return hash(self.iso.key)
 
     @property
     def size(self) -> int:

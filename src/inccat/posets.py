@@ -160,11 +160,13 @@ class Poset:
     @cached_property
     def downs(self) -> tuple[int, ...]:
         """downs[j] = bitmask of {i : i <= j} (transpose of leq)."""
-        n = self.size
-        out = [0] * n
-        for i in range(n):
-            for j in bits(self.leq[i]):
-                out[j] |= 1 << i
+        out = [0] * self.size
+        for i, row in enumerate(self.leq):
+            bit = 1 << i
+            while row:
+                low = row & -row
+                row ^= low
+                out[low.bit_length() - 1] |= bit
         return tuple(out)
 
     @cached_property
@@ -184,9 +186,6 @@ class Poset:
         for i in bits(mask):
             out |= self.downs[i]
         return out
-
-    def comparability_mask(self, i: int) -> int:
-        return self.leq[i] | self.downs[i]
 
     def relabel(self, labels: Iterable[str]) -> "Poset":
         return Poset(self.leq, tuple(labels), self.colors)
@@ -418,18 +417,18 @@ def connected_components(p: Poset) -> list[int]:
     Components are listed by their smallest element, ascending; the empty
     poset yields the empty list.
     """
+    leq, downs = p.leq, p.downs
     remaining = p.full_mask
     out = []
     while remaining:
-        seed = remaining & -remaining
-        comp = seed
-        while True:
-            grown = comp
-            for i in bits(comp):
-                grown |= p.comparability_mask(i)
-            if grown == comp:
-                break
-            comp = grown
+        comp = frontier = remaining & -remaining
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            i = low.bit_length() - 1
+            grown = (leq[i] | downs[i]) & ~comp
+            comp |= grown
+            frontier |= grown
         out.append(comp)
         remaining &= ~comp
     return out
@@ -499,8 +498,12 @@ def element_signatures(p: Poset, mode: MapMode) -> tuple:
     Starts from (color, |down-set|, |up-set|, height) and refines a fixed
     number of times by the sorted multisets of the signatures strictly
     below and above.  Signatures of corresponding elements under any
-    mode-admissible isomorphism coincide, so they pre-partition both
-    canonicalization and isomorphism search.
+    mode-admissible isomorphism coincide, so they pre-partition the
+    isomorphism search, which compares the signatures of two posets.  The
+    key search takes the same cells in the same order from
+    :func:`_signature_ranks`; these tuples stay for the isomorphism search
+    and the tests' unpruned key search, so the oracles share no code
+    with the key path they check.
     """
     n = p.size
     colors = _color_keys(p, mode)
@@ -522,6 +525,49 @@ def element_signatures(p: Poset, mode: MapMode) -> tuple:
             for i in range(n)
         ]
     return tuple(sig)
+
+
+def _strict_relations(leq: tuple[int, ...]) -> tuple[list[list[int]], list[list[int]]]:
+    """Per element, the ascending lists of elements strictly below and above it."""
+    n = len(leq)
+    below: list[list[int]] = [[] for _ in range(n)]
+    above: list[list[int]] = [[] for _ in range(n)]
+    for i, row in enumerate(leq):
+        row &= ~(1 << i)
+        while row:
+            low = row & -row
+            row ^= low
+            j = low.bit_length() - 1
+            above[i].append(j)
+            below[j].append(i)
+    return below, above
+
+
+def _signature_ranks(colors: tuple[int, ...], below: list[list[int]], above: list[list[int]]) -> list[int]:
+    """Each element's rank among the distinct :func:`element_signatures`.
+
+    A round ranks (rank, sorted ranks strictly below, sorted ranks
+    strictly above) among the distinct triples.  Ranking preserves order,
+    so the ranks order the elements as the nested tuples do.  Once a
+    round adds no cell, or all cells are singletons, no later round
+    changes a rank.
+    """
+    n = len(colors)
+    height = [0] * n
+    for i in sorted(range(n), key=lambda x: len(below[x])):
+        height[i] = max([height[j] + 1 for j in below[i]], default=0)
+    sig: list = [(colors[i], len(below[i]), len(above[i]), height[i]) for i in range(n)]
+    rounds = count = 0
+    while True:
+        order = {s: r for r, s in enumerate(sorted(set(sig)))}
+        rank = [order[s] for s in sig]
+        if rounds == _SIGNATURE_ROUNDS or len(order) in (count, n):
+            return rank
+        rounds, count = rounds + 1, len(order)
+        sig = [
+            (rank[i], tuple(sorted([rank[j] for j in below[i]])), tuple(sorted([rank[j] for j in above[i]])))
+            for i in range(n)
+        ]
 
 
 def _twin_classes(p: Poset, colors: tuple[int, ...]) -> list[int]:
@@ -666,6 +712,11 @@ def _connected_key(p: Poset, mode: MapMode, colors: tuple[int, ...], tag: int) -
     p up to column p, then column p up to row p-1) so the branch-and-bound
     can compare prefixes as elements are placed.
 
+    The search runs on ints: the cells come from :func:`_signature_ranks`,
+    each element's block against the placed prefix (bits ``e <= q``, a 1,
+    bits ``q <= e``) is kept in ``code`` as elements are placed, and each
+    tail is an int of fixed width, so blocks and tails compare as ints.
+
     Two prunings skip a candidate whose subtree is the image of an
     explored sibling's under an automorphism fixing the placed prefix.
     Such an image has the same least tail, so neither pruning changes a
@@ -680,33 +731,34 @@ def _connected_key(p: Poset, mode: MapMode, colors: tuple[int, ...], tag: int) -
     there.
     """
     n = p.size
-    sigs = element_signatures(p, mode)
-    order_of_sig = {s: r for r, s in enumerate(sorted(set(sigs)))}
-    cells: dict[int, list[int]] = {}
+    below, above = _strict_relations(p.leq)
+    rank = _signature_ranks(colors, below, above)
+    cells: list[list[int]] = [[] for _ in range(max(rank) + 1)]
     for i in range(n):
-        cells.setdefault(order_of_sig[sigs[i]], []).append(i)
-    pos_cell = [rank for rank in sorted(cells) for _ in cells[rank]]
+        cells[rank[i]].append(i)
+    cell_at = [cell for cell in cells for _ in cell]  # the cell of each position
     twin = _twin_classes(p, colors)
-    up = p.leq
+    # code[e] holds, at bit n - 1 - k of its high and low n bits, whether
+    # e <= q and whether q <= e for the element q placed at position k.
+    code = [0] * n
+    low_bits = (1 << n) - 1
     # Automorphisms found so far, each with the mask of its fixed points.
     gens: list[tuple[tuple[int, ...], int]] = []
 
     placed: list[int] = []
 
-    def dfs(used: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    def dfs(used: int) -> tuple[int, tuple[int, ...]]:
         """Least tail below this node, and a leaf order that attains it."""
         depth = len(placed)
         if depth == n:
-            return (), tuple(placed)
-        groups: dict[tuple[int, ...], list[int]] = {}
-        seen_twins = set()
-        for e in cells[pos_cell[depth]]:
-            if (used >> e) & 1 or twin[e] in seen_twins:
+            return 0, tuple(placed)
+        groups: dict[int, list[int]] = {}
+        seen_twins = 0
+        for e in cell_at[depth]:
+            if (used >> e) & 1 or (seen_twins >> twin[e]) & 1:
                 continue
-            seen_twins.add(twin[e])
-            block = tuple((up[e] >> q) & 1 for q in placed)
-            block += (1,) + tuple((up[q] >> e) & 1 for q in placed)
-            groups.setdefault(block, []).append(e)
+            seen_twins |= 1 << twin[e]
+            groups.setdefault(code[e], []).append(e)
         least = min(groups)
         candidates = groups[least]
         # Generators fixing the prefix pointwise.  Those found from here on
@@ -714,8 +766,10 @@ def _connected_key(p: Poset, mode: MapMode, colors: tuple[int, ...], tag: int) -
         fixing = [g for g, fixed in gens if not used & ~fixed] if len(candidates) > 1 else []
         known = len(gens)
         explored = 0  # the orbits of the candidates explored so far
-        best: tuple[int, ...] | None = None
+        best: int | None = None
         best_leaf: tuple[int, ...] = ()
+        bit_lo = 1 << (n - 1 - depth)
+        bit_hi = bit_lo << n
         for e in candidates:
             if len(gens) > known:
                 fixing += [g for g, _ in gens[known:]]
@@ -724,7 +778,15 @@ def _connected_key(p: Poset, mode: MapMode, colors: tuple[int, ...], tag: int) -
             if (explored >> e) & 1:
                 continue
             placed.append(e)
+            for f in below[e]:
+                code[f] ^= bit_hi
+            for f in above[e]:
+                code[f] ^= bit_lo
             tail, leaf = dfs(used | (1 << e))
+            for f in below[e]:
+                code[f] ^= bit_hi
+            for f in above[e]:
+                code[f] ^= bit_lo
             placed.pop()
             if best is None or tail < best:
                 best, best_leaf = tail, leaf
@@ -736,25 +798,15 @@ def _connected_key(p: Poset, mode: MapMode, colors: tuple[int, ...], tag: int) -
                     g[a] = b
                 gens.append((tuple(g), mask_of(a for a in range(n) if g[a] == a)))
             explored = _orbit_closure(explored | (1 << e), fixing)
-        return least + best, best_leaf  # type: ignore[operator]
+        # The block: the prefix bits of e <= q, a 1, those of q <= e.
+        block = (least >> (2 * n - depth)) << (depth + 1) | 1 << depth | (least & low_bits) >> (n - depth)
+        return block << (n * n - (depth + 1) ** 2) | best, best_leaf  # type: ignore[operator]
 
-    matrix_bits, _ = dfs(0)
-    packed = bytearray()
-    acc, nbits = 0, 0
-    for b in matrix_bits:
-        acc = (acc << 1) | b
-        nbits += 1
-        if nbits == 8:
-            packed.append(acc)
-            acc, nbits = 0, 0
-    if nbits:
-        packed.append(acc << (8 - nbits))
-
+    matrix, _ = dfs(0)
     key = bytes([tag, n])
     if mode is MapMode.COLOR_PRESERVING_ISOS:
-        cell_color = {rank: colors[cells[rank][0]] for rank in cells}
-        key += bytes(cell_color[rank] for rank in pos_cell)
-    return key + bytes(packed)
+        key += bytes(colors[cell[0]] for cell in cell_at)
+    return key + (matrix << (-n * n % 8)).to_bytes((n * n + 7) // 8, "big")
 
 
 def find_isomorphisms(p: Poset, q: Poset, mode: MapMode = MapMode.ALL_POSET_ISOS) -> list[Bijection]:

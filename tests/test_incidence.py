@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 from fractions import Fraction
 
@@ -64,6 +65,17 @@ class TestIntervalClasses:
 
     def test_sizes_never_related(self, fin):
         assert IntervalClass(fin.empty_class) != IntervalClass(fin.classes(1)[0])
+
+    def test_eq_and_hash_agree_with_iso_class(self, fin):
+        classes = [cls for size in range(4) for cls in fin.classes(size)]
+        for a in classes:
+            relabelled = a.representative.relabel([f"x{i}" for i in range(a.size)])
+            twin = dataclasses.replace(a, representative=relabelled)
+            assert IntervalClass(a) == IntervalClass(twin)
+            assert hash(IntervalClass(a)) == hash(a) == hash(IntervalClass(twin))
+            assert IntervalClass(a) != a
+            for b in classes:
+                assert (IntervalClass(a) == IntervalClass(b)) == (a == b)
 
 
 def by_intervals(p, ideal):

@@ -15,6 +15,8 @@ from inccat.posets import (
     Bijection,
     MapMode,
     Poset,
+    _signature_ranks,
+    _strict_relations,
     _twin_classes,
     automorphisms,
     canonical_form,
@@ -140,6 +142,50 @@ def unpruned_connected_key(p, mode):
         cell_color = {rank: colors[cells[rank][0]] for rank in cells}
         key += bytes(cell_color[rank] for rank in pos_cell)
     return key + bytes(int(matrix[i:i + 8], 2) for i in range(0, len(matrix), 8))
+
+
+def nested_signature_ranks(p, mode):
+    """Each element's rank among the distinct nested ``element_signatures``."""
+    sigs = element_signatures(p, mode)
+    order = {s: r for r, s in enumerate(sorted(set(sigs)))}
+    return [order[s] for s in sigs]
+
+
+def key_signature_ranks(p, mode):
+    """The integer ranks that pre-partition the key search."""
+    colors = p.colors if mode is COLOR else (0,) * p.size
+    return _signature_ranks(colors, *_strict_relations(p.leq))
+
+
+def random_poset(n, rng, num_colors=1):
+    """A random order on n points, about three covers per element, random colors."""
+    rel = [1 << i for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < 3 / n:
+                rel[i] |= 1 << j
+    for k in range(n):
+        for i in range(n):
+            if (rel[i] >> k) & 1:
+                rel[i] |= rel[k]
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return relabel_by(Poset(tuple(rel), None, tuple(rng.randrange(num_colors) for _ in range(n))), perm)
+
+
+def components_by_closure(p):
+    """Comparability components as fixed points of the closure, by smallest element."""
+    out, remaining = [], set(range(p.size))
+    while remaining:
+        comp = {min(remaining)}
+        while True:
+            grown = comp | {j for i in comp for j in range(p.size) if p.le(i, j) or p.le(j, i)}
+            if grown == comp:
+                break
+            comp = grown
+        out.append(sum(1 << i for i in comp))
+        remaining -= comp
+    return out
 
 
 def all_labeled_posets(n):
@@ -377,6 +423,20 @@ class TestComponents:
     def test_empty(self):
         assert connected_components(EMPTY_POSET) == []
 
+    @settings(max_examples=150, deadline=None)
+    @given(posets(max_size=10), st.data())
+    def test_downs_is_transpose_of_leq(self, p, data):
+        q = relabel_by(p, list(data.draw(st.permutations(range(p.size)))))
+        for i in range(q.size):
+            for j in range(q.size):
+                assert (q.downs[j] >> i) & 1 == (q.leq[i] >> j) & 1
+
+    @settings(max_examples=150, deadline=None)
+    @given(posets(max_size=10), st.data())
+    def test_components_are_the_comparability_closure(self, p, data):
+        q = relabel_by(p, list(data.draw(st.permutations(range(p.size)))))
+        assert connected_components(q) == components_by_closure(q)
+
 
 class TestIsomorphisms:
     def test_antichain_automorphisms(self, antichain2):
@@ -582,6 +642,43 @@ class TestCanonicalKeyLayout:
     def test_subset_key_rejects_elements_out_of_range(self):
         with pytest.raises(PosetError):
             subset_key(CHAIN2, 0b100)
+
+    @pytest.mark.parametrize("mode", [ALL, COLOR])
+    def test_signature_ranks_match_nested_signatures_exhaustively(self, mode):
+        for n in range(5):
+            for p in all_labeled_posets(n):
+                for colors in iproduct(range(2), repeat=n):
+                    q = Poset(p.leq, None, colors)
+                    assert key_signature_ranks(q, mode) == nested_signature_ranks(q, mode)
+
+    # The example is one of the smallest posets (n = 7) whose second
+    # refinement round splits a cell.
+    @settings(max_examples=200, deadline=None)
+    @given(posets(max_size=12, num_colors=3), st.sampled_from([ALL, COLOR]), st.randoms())
+    @example(Poset((49, 18, 100, 104, 16, 32, 64)), ALL, random.Random(0))
+    def test_signature_ranks_match_nested_signatures(self, p, mode, rng):
+        q = shuffled(p, rng.random())
+        assert key_signature_ranks(q, mode) == nested_signature_ranks(q, mode)
+
+    # n * n bits pack into bytes with a padded last byte unless 8 divides
+    # n * n: 29, 30 and 31 pad, 32 does not.
+    @pytest.mark.parametrize("n", [31, 32])
+    def test_long_chain_keys_match_unpruned_search(self, n):
+        q = shuffled(chain(n), n)
+        for mode in (ALL, COLOR):
+            assert canonical_form(q, mode) == unpruned_connected_key(q, mode)
+
+    @pytest.mark.parametrize("n", [29, 30, 31, 32])
+    def test_large_rigid_keys_match_unpruned_search(self, n):
+        rng = random.Random(n)
+        while True:
+            p = random_poset(n, rng, num_colors=2)
+            if is_connected(p) and len(automorphisms(p)) == 1:
+                break
+        for mode in (ALL, COLOR):
+            key = canonical_form(p, mode)
+            assert len(key) == 2 + (n if mode is COLOR else 0) + (n * n + 7) // 8
+            assert key == unpruned_connected_key(p, mode)
 
     @settings(max_examples=150, deadline=None)
     @given(posets(max_size=8, num_colors=3))
