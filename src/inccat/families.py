@@ -97,10 +97,11 @@ class FamilyContext:
     the index is closed under convex subposets and disjoint unions.
 
     ``memo`` holds the tables of results that depend on the context (the
-    Hall split index per degree, the split tables of component classes,
-    antipodes, the interval classes of each poset's ideal splits under
-    its order and colors, and the composition table of the category
-    checks), one named entry each; they live and die with the context.
+    Hall split index per degree, the split tables of component classes
+    by key with their sides as key pairs, antipodes, the interval
+    classes of each poset's ideal splits under its order and colors,
+    and the composition table of the category checks), one named entry
+    each; they live and die with the context.
     """
 
     name: str

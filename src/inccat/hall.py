@@ -27,9 +27,12 @@ class's components, and the split table of a disconnected class is the
 convolution of its components' tables, since the ideals of P (+) Q are
 the pairs of ideals of P and Q.  A connected class walks its ideals and
 looks up each side with ``posets.subset_key``, which builds a subposet
-only when its key has not been computed yet.  The poset-building
-routes stay as test oracles, and ``structure_constant`` stays an
-independent check by explicit isomorphism search.
+only when its key has not been computed yet.  The split tables count
+pairs of side keys, not classes, so no class is hashed per ideal;
+``split_index`` turns each distinct key pair into classes once, and
+that is where every side is checked to be a member of the family.  The
+poset-building routes stay as test oracles, and ``structure_constant``
+stays an independent check by explicit isomorphism search.
 """
 
 from __future__ import annotations
@@ -178,34 +181,41 @@ def split_index(ctx: FamilyContext, total: int) -> dict:
     Inverts the ideal splits of every class R of size ``total`` (see
     :func:`_split_counts`), so the entry for (P, Q) lists each R with
     N(P,Q;R) > 0: a product visits only the classes its factors can
-    reach.  Computed once per degree and context.
+    reach.  The inversion runs on the side keys; each distinct pair of
+    them is turned into classes once at the end, which is where every
+    side is checked to be a member (:func:`_class_of_key`).  Computed
+    once per degree and context.
     """
     table = ctx.memo.setdefault("splits", {})
     hit = table.get(total)
     if hit is not None:
         return hit
-    index: dict[tuple[IsoClass, IsoClass], list] = {}
+    index: dict[tuple[bytes, bytes], list] = {}
     for r_cls in ctx.classes(total):
         for pair, n in _split_counts(ctx, r_cls).items():
             index.setdefault(pair, []).append((r_cls, n))
-    result = {pair: tuple(entries) for pair, entries in index.items()}
+    result = {
+        (_class_of_key(ctx, p_key), _class_of_key(ctx, q_key)): tuple(entries)
+        for (p_key, q_key), entries in index.items()
+    }
     table[total] = result
     return result
 
 
 def _split_counts(ctx: FamilyContext, r_cls: IsoClass) -> dict:
-    """(class of X_I, class of X_{R\\I}) -> number of ideals I of R.
+    """(key of X_I, key of X_{R\\I}) -> number of ideals I of R.
 
     A connected R walks its ideals.  The ideals of a disjoint union are
     the tuples of ideals of its components, and X_I is the disjoint union
     of the components' pieces, so a disconnected R convolves the tables
     of its components, joining component keys on each side.  Only the
     tables of connected classes below the cutoff are kept (in
-    ``ctx.memo["component_splits"]``): those are the classes that can be
-    components of a class of the context.
+    ``ctx.memo["component_splits"]``, under the class's key): those are
+    the classes that can be components of a class of the context.  The
+    side keys are not checked here; :func:`split_index` checks them.
     """
     table = ctx.memo.setdefault("component_splits", {})
-    hit = table.get(r_cls)
+    hit = table.get(r_cls.key)
     if hit is not None:
         return hit
     parts = component_keys(r_cls.key)
@@ -213,20 +223,17 @@ def _split_counts(ctx: FamilyContext, r_cls: IsoClass) -> dict:
         return _convolved_splits(ctx, parts)
     counts = _ideal_splits(ctx, r_cls)
     if parts and r_cls.size < ctx.max_size:
-        table[r_cls] = counts
+        table[r_cls.key] = counts
     return counts
 
 
 def _ideal_splits(ctx: FamilyContext, r_cls: IsoClass) -> dict:
-    """The split table of R by its ideals, each side a key looked up in the index."""
+    """The split table of R by its ideals, each side the key of its subposet."""
     rep, mode = r_cls.representative, ctx.mode
     full = rep.full_mask
-    counts: dict[tuple[IsoClass, IsoClass], int] = {}
+    counts: dict[tuple[bytes, bytes], int] = {}
     for ideal in order_ideals(rep).ideals:
-        pair = (
-            _class_of_key(ctx, subset_key(rep, ideal, mode)),
-            _class_of_key(ctx, subset_key(rep, full & ~ideal, mode)),
-        )
+        pair = (subset_key(rep, ideal, mode), subset_key(rep, full ^ ideal, mode))
         counts[pair] = counts.get(pair, 0) + 1
     return counts
 
@@ -235,13 +242,13 @@ def _convolved_splits(ctx: FamilyContext, parts: tuple[bytes, ...]) -> dict:
     """The split table of the disjoint union of the connected classes ``parts``.
 
     Sides are sorted tuples of component keys while the convolution runs,
-    so equal pieces merge, and each is joined and looked up once at the end.
+    so equal pieces merge, and each is joined into one key at the end.
     """
     acc: dict[tuple[tuple[bytes, ...], tuple[bytes, ...]], int] = {((), ()): 1}
     for part, m in Counter(parts).items():
         pieces = [
-            (component_keys(p_cls.key), component_keys(q_cls.key), n)
-            for (p_cls, q_cls), n in _split_counts(ctx, _class_of_key(ctx, part)).items()
+            (component_keys(p_key), component_keys(q_key), n)
+            for (p_key, q_key), n in _split_counts(ctx, _class_of_key(ctx, part)).items()
         ]
         for _ in range(m):
             step: dict[tuple[tuple[bytes, ...], tuple[bytes, ...]], int] = {}
@@ -250,10 +257,7 @@ def _convolved_splits(ctx: FamilyContext, parts: tuple[bytes, ...]) -> dict:
                     pair = (tuple(sorted(left + p_parts)), tuple(sorted(right + q_parts)))
                     step[pair] = step.get(pair, 0) + a * n
             acc = step
-    return {
-        (_class_of_key(ctx, union_key(left)), _class_of_key(ctx, union_key(right))): n
-        for (left, right), n in acc.items()
-    }
+    return {(union_key(left), union_key(right)): n for (left, right), n in acc.items()}
 
 
 def _class_of_key(ctx: FamilyContext, key: bytes) -> IsoClass:

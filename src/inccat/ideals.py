@@ -88,14 +88,16 @@ def order_ideals(p: Poset) -> IdealLattice:
     if hit is not None:
         return hit
     n = p.size
-    incomp = [~(p.leq[i] | p.downs[i]) for i in range(n)]
+    downs = p.downs
+    incomp = [~(p.leq[i] | downs[i]) for i in range(n)]
     found: list[int] = []
 
-    def grow(start: int, chosen: int, allowed: int) -> None:
-        found.append(p.down_closure(chosen))
+    def grow(start: int, closure: int, allowed: int) -> None:
+        # ``closure`` is the down-closure of the antichain chosen so far.
+        found.append(closure)
         for x in range(start, n):
             if (allowed >> x) & 1:
-                grow(x + 1, chosen | (1 << x), allowed & incomp[x])
+                grow(x + 1, closure | downs[x], allowed & incomp[x])
 
     grow(0, 0, p.full_mask)
     ideals = tuple(sorted(found, key=lambda m: (m.bit_count(), m)))

@@ -16,7 +16,10 @@ poset, 2 or 3 for a disconnected one.  A disconnected key lists the
 sorted keys of its connected components, mirroring the disjoint union;
 :func:`component_keys` and :func:`union_key` parse and join that
 layout, and :func:`subset_key` reads the key of a subposet from the
-memo, building the subposet only on a miss.
+memo, building the subposet only on a miss.  Both it and
+:func:`induced_subposet` restrict the relation rows through
+:func:`_restricted_rows`, which packs each row a byte at a time through
+256-entry tables, one per byte value of the mask, built on first use.
 A connected key holds the lexicographically least serialized relation
 matrix over permutations that respect an invariant-based pre-partition
 of the elements, found by a branch-and-bound search.  The search prunes
@@ -360,30 +363,59 @@ def induced_subposet(p: Poset, mask: int) -> tuple[Poset, tuple[int, ...]]:
     labels, colors = p.labels, p.colors
     labels = tuple([labels[e] for e in elements])
     colors = tuple([colors[e] for e in elements])
-    return _derived_poset(rows, labels, colors), tuple(elements)
+    return _derived_poset(rows, labels, colors), elements
 
 
-def _restricted_rows(leq: tuple[int, ...], mask: int) -> tuple[tuple[int, ...], list[int]]:
+# _BYTE_TABLES[m], for one byte m of a mask: the 256 bytes packed through
+# m (entry b keeps the bits of b that m has, moved down together), and the
+# set bits of m.  Each is built on first use; a race only repeats work.
+_BYTE_TABLES: list[tuple[bytes, tuple[int, ...]] | None] = [None] * 256
+
+
+def _byte_table(m: int) -> tuple[bytes, tuple[int, ...]]:
+    """Build and store the tables of the mask byte ``m``; the packing doubles per bit."""
+    packed = [0]
+    for i in range(8):
+        if (m >> i) & 1:
+            bit = 1 << (m & ((1 << i) - 1)).bit_count()
+            packed += [v | bit for v in packed]
+        else:
+            packed += packed
+    table = _BYTE_TABLES[m] = (bytes(packed), tuple(i for i in range(8) if (m >> i) & 1))
+    return table
+
+
+def _restricted_rows(leq: tuple[int, ...], mask: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The relation rows restricted to ``mask`` and reindexed, and its elements.
 
     The new index of an element is the number of mask bits below it, so
-    new indices follow the ascending order of the original ones.
+    new indices follow the ascending order of the original ones.  A row
+    is packed a byte at a time, one lookup in the table of each nonzero
+    byte of the mask (at most four, as n <= 32), shifted by the number
+    of mask bits in the bytes below.
     """
-    elements, rows = [], []
-    rest = mask
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        e = low.bit_length() - 1
-        elements.append(e)
-        up = leq[e] & mask
+    if mask < 256:
+        packed, elements = _BYTE_TABLES[mask] or _byte_table(mask)
+        return tuple([packed[leq[e] & 255] for e in elements]), elements
+    chunks = []
+    found: list[int] = []
+    shift = offset = 0
+    while mask >> shift:
+        m = (mask >> shift) & 255
+        if m:
+            packed, positions = _BYTE_TABLES[m] or _byte_table(m)
+            chunks.append((shift, packed, offset))
+            found += [shift + i for i in positions]
+            offset += len(positions)
+        shift += 8
+    rows = []
+    for e in found:
+        x = leq[e]
         row = 0
-        while up:
-            j = up & -up
-            up ^= j
-            row |= 1 << (mask & (j - 1)).bit_count()
+        for shift, packed, offset in chunks:
+            row |= packed[(x >> shift) & 255] << offset
         rows.append(row)
-    return tuple(rows), elements
+    return tuple(rows), tuple(found)
 
 
 def is_convex(p: Poset, mask: int) -> bool:
@@ -604,11 +636,13 @@ def _orbit_closure(mask: int, gens: list[tuple[int, ...]]) -> int:
     return mask
 
 
-# Canonical keys by (mode, leq, color keys): everything the key depends
+# Canonical keys by (tag, leq, color keys): everything the key depends
 # on and nothing more, so relabelled copies share an entry, and so do
-# recoloured copies in ALL_POSET_ISOS mode.  A key never goes stale, so
-# the table lives as long as the process; filling an entry twice stores
-# the same bytes, so a race can only repeat work.
+# recoloured copies in ALL_POSET_ISOS mode.  The tag (0 or 1, as in the
+# key) stands for the mode because it hashes in C, where an Enum member
+# hashes through a Python frame.  A key never goes stale, so the table
+# lives as long as the process; filling an entry twice stores the same
+# bytes, so a race can only repeat work.
 _canonical_keys: dict[tuple, bytes] = {}
 
 
@@ -628,18 +662,34 @@ def canonical_form(p: Poset, mode: MapMode = MapMode.ALL_POSET_ISOS) -> bytes:
     """
     if p.size == 0:
         return b""
+    tag = 0 if mode is MapMode.ALL_POSET_ISOS else 1
     colors = _color_keys(p, mode)
-    memo_key = (mode, p.leq, colors)
+    memo_key = (tag, p.leq, colors)
     hit = _canonical_keys.get(memo_key)
     if hit is not None:
         return hit
     components = connected_components(p)
     if len(components) > 1:
-        key = union_key([canonical_form(induced_subposet(p, c)[0], mode) for c in components])
+        key = union_key([_component_key(p, c, mode, tag) for c in components])
     else:
-        key = _connected_key(p, mode, colors, 0 if mode is MapMode.ALL_POSET_ISOS else 1)
+        key = _connected_key(p, mode, colors, tag)
     _canonical_keys[memo_key] = key
     return key
+
+
+def _component_key(p: Poset, mask: int, mode: MapMode, tag: int) -> bytes:
+    """The key of the connected subposet on ``mask``, from the memo or the search.
+
+    The piece is a connected component, so a miss goes straight to
+    :func:`_connected_key`, without looking for components again.
+    """
+    sub, _ = induced_subposet(p, mask)
+    colors = _color_keys(sub, mode)
+    memo_key = (tag, sub.leq, colors)
+    hit = _canonical_keys.get(memo_key)
+    if hit is None:
+        hit = _canonical_keys[memo_key] = _connected_key(sub, mode, colors, tag)
+    return hit
 
 
 def subset_key(p: Poset, mask: int, mode: MapMode = MapMode.ALL_POSET_ISOS) -> bytes:
@@ -650,17 +700,17 @@ def subset_key(p: Poset, mask: int, mode: MapMode = MapMode.ALL_POSET_ISOS) -> b
     only on a miss is the subposet built and its key computed there, so
     there is still one way to compute a key.
     """
-    if mask & ~p.full_mask:
+    if mask >> len(p.leq):
         raise PosetError("subset references elements out of range")
     if not mask:
         return b""
     rows, elements = _restricted_rows(p.leq, mask)
-    if mode is MapMode.COLOR_PRESERVING_ISOS:
-        p_colors = p.colors
-        colors = tuple([p_colors[e] for e in elements])
+    if mode is MapMode.ALL_POSET_ISOS:
+        memo_key = (0, rows, (0,) * len(rows))
     else:
-        colors = (0,) * len(rows)
-    hit = _canonical_keys.get((mode, rows, colors))
+        p_colors = p.colors
+        memo_key = (1, rows, tuple([p_colors[e] for e in elements]))
+    hit = _canonical_keys.get(memo_key)
     if hit is not None:
         return hit
     return canonical_form(induced_subposet(p, mask)[0], mode)

@@ -312,6 +312,17 @@ class TestKeyLevelUnions:
         for total in range(max_size + 1):
             assert split_index(ctx, total) == ideal_walk_split_index(ctx, total)
 
+    # The chain is a component of the 2+2 chains, so the lookup of a
+    # component's table fails; the antichain is a component of nothing,
+    # so only the check of the side keys at the end of split_index sees it.
+    @pytest.mark.parametrize("covers", [1, 0], ids=["chain", "antichain"])
+    def test_split_index_rejects_a_side_outside_the_family(self, covers):
+        ctx = fin_up_to(4)
+        del ctx._by_key[cls_by_covers(ctx, 2, covers).key]
+        with pytest.raises(FamilyError, match="not a member"):
+            split_index(ctx, 4)
+        assert 4 not in ctx.memo["splits"]
+
     @pytest.mark.parametrize("spec, max_size", KEY_LEVEL_SPECS)
     def test_coproduct_matches_subset_loop(self, spec, max_size):
         ctx = family_from_spec(spec, max_size)

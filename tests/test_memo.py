@@ -36,6 +36,12 @@ def test_context_is_collected_after_use():
         "schmitt_antipode",
         "intervals",
     }
+    # Split tables of connected classes below the cutoff, by key; their
+    # sides are keys too, turned into classes only in the split index.
+    connected = {c.key for size in range(1, 4) for c in ctx.classes(size) if c.key[0] < 2}
+    assert set(ctx.memo["component_splits"]) <= connected
+    for counts in ctx.memo["component_splits"].values():
+        assert all(type(side) is bytes for pair in counts for side in pair)
     ref = weakref.ref(ctx)
     del ctx
     gc.collect()

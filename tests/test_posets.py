@@ -15,6 +15,7 @@ from inccat.posets import (
     Bijection,
     MapMode,
     Poset,
+    _restricted_rows,
     _signature_ranks,
     _strict_relations,
     _twin_classes,
@@ -186,6 +187,29 @@ def components_by_closure(p):
         out.append(sum(1 << i for i in comp))
         remaining -= comp
     return out
+
+
+def bitwise_restricted_rows(leq, mask):
+    """Oracle for ``_restricted_rows``: restrict and reindex one bit at a time.
+
+    Each element's new index is the number of mask bits below it, counted
+    afresh for every bit of every row.
+    """
+    elements, rows = [], []
+    rest = mask
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        e = low.bit_length() - 1
+        elements.append(e)
+        up = leq[e] & mask
+        row = 0
+        while up:
+            j = up & -up
+            up ^= j
+            row |= 1 << (mask & (j - 1)).bit_count()
+        rows.append(row)
+    return tuple(rows), tuple(elements)
 
 
 def all_labeled_posets(n):
@@ -565,6 +589,27 @@ class TestCanonicalForm:
         assert canonical_form(shuffled(p, k)) == canonical_form(p)
 
 
+class TestRestriction:
+    """The byte-table restriction of relation rows against the bit loop."""
+
+    def test_every_mask_up_to_eight_elements(self):
+        rng = random.Random(8)
+        for n in range(9):
+            full = (1 << n) - 1
+            # The restriction reads bits, not an order, so any rows will do.
+            for leq in (tuple(rng.getrandbits(n) for _ in range(n)), (full,) * n, chain(n).leq):
+                for mask in range(1 << n):
+                    assert _restricted_rows(leq, mask) == bitwise_restricted_rows(leq, mask)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 32), st.data())
+    def test_masks_of_every_width_up_to_32_elements(self, n, data):
+        leq = tuple(data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n)))
+        width = data.draw(st.integers(0, n))  # the highest mask bit is bit width - 1
+        mask = data.draw(st.integers(1 << width >> 1, (1 << width) - 1))
+        assert _restricted_rows(leq, mask) == bitwise_restricted_rows(leq, mask)
+
+
 class TestCanonicalKeyLayout:
     """Pruning and the per-component layout against the plain search."""
 
@@ -626,10 +671,15 @@ class TestCanonicalKeyLayout:
         parts = component_keys(canonical_form(p, mode)) + component_keys(canonical_form(q, mode))
         assert union_key(parts) == canonical_form(disjoint_union(p, q)[0], mode)
 
+    # Sizes up to 26 cross the byte boundaries of the row restriction.
     @settings(max_examples=100, deadline=None)
-    @given(posets(max_size=7, num_colors=2), st.sampled_from([ALL, COLOR]), st.data())
-    def test_subset_key_is_key_of_induced_subposet(self, p, mode, data):
-        mask = data.draw(st.integers(0, p.full_mask))
+    @given(st.integers(0, 26), st.randoms(use_true_random=False), st.sampled_from([ALL, COLOR]))
+    @example(9, random.Random(1), ALL)
+    @example(17, random.Random(2), COLOR)
+    @example(26, random.Random(3), ALL)
+    def test_subset_key_is_key_of_induced_subposet(self, n, rng, mode):
+        p = random_poset(n, rng, num_colors=2)
+        mask = rng.getrandbits(n)
         saved = dict(posets_module._canonical_keys)
         posets_module._canonical_keys.clear()
         try:
@@ -638,6 +688,25 @@ class TestCanonicalKeyLayout:
         finally:
             posets_module._canonical_keys.update(saved)
         assert cold == warm == canonical_form(induced_subposet(p, mask)[0], mode)
+
+    def test_component_misses_do_not_look_for_components_again(self, monkeypatch):
+        p = copies("N", 3, rooted=False)
+        calls = []
+
+        def counting(q):
+            calls.append(q.size)
+            return real_components(q)
+
+        real_components = posets_module.connected_components
+        monkeypatch.setattr(posets_module, "connected_components", counting)
+        saved = dict(posets_module._canonical_keys)
+        posets_module._canonical_keys.clear()
+        try:
+            key = canonical_form(p)
+        finally:
+            posets_module._canonical_keys.update(saved)
+        assert calls == [p.size]
+        assert key == union_key([canonical_form(copies("N", 1, rooted=False))] * 3)
 
     def test_subset_key_rejects_elements_out_of_range(self):
         with pytest.raises(PosetError):
