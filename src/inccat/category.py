@@ -211,6 +211,10 @@ def monos(a: CategoryObject, b: CategoryObject, mode: MapMode = MapMode.ALL_POSE
     Equal to ``hom_set(a, b, mode)`` filtered by :func:`is_mono`, in the
     same order, without building the rest of the hom set.  Not memoised.
     """
+    # Candidates are filtered by size only, not by canonical key: the check
+    # ``verification.check_ses_classification`` compares the keys of each
+    # mono's image with the key of its source, and a key filter here would
+    # make that comparison true by construction.
     targets = [i2 for i2 in order_ideals(b.poset).ideals if i2.bit_count() == a.size]
     return _morphisms(a, b, mode, (0,), {a.size: targets})
 
@@ -221,6 +225,7 @@ def epis(b: CategoryObject, c: CategoryObject, mode: MapMode = MapMode.ALL_POSET
     Equal to ``hom_set(b, c, mode)`` filtered by :func:`is_epi`, in the
     same order, without building the rest of the hom set.  Not memoised.
     """
+    # By size only, not by the key of the cokernel side; see :func:`monos`.
     kernel_size = b.size - c.size
     kernels = [i1 for i1 in order_ideals(b.poset).ideals if i1.bit_count() == kernel_size]
     return _morphisms(b, c, mode, kernels, {c.size: [c.poset.full_mask]})

@@ -48,6 +48,7 @@ from .errors import CoefficientError, FamilyError, IncCatError, TruncationError,
 from .families import FamilyContext, IsoClass
 from .ideals import order_ideals
 from .posets import (
+    _union_of_sorted,
     component_keys,
     find_isomorphisms,
     induced_subposet,
@@ -242,7 +243,8 @@ def _convolved_splits(ctx: FamilyContext, parts: tuple[bytes, ...]) -> dict:
     """The split table of the disjoint union of the connected classes ``parts``.
 
     Sides are sorted tuples of component keys while the convolution runs,
-    so equal pieces merge, and each is joined into one key at the end.
+    so equal pieces merge, and each is joined into one key at the end
+    without sorting it again.
     """
     acc: dict[tuple[tuple[bytes, ...], tuple[bytes, ...]], int] = {((), ()): 1}
     for part, m in Counter(parts).items():
@@ -257,7 +259,9 @@ def _convolved_splits(ctx: FamilyContext, parts: tuple[bytes, ...]) -> dict:
                     pair = (tuple(sorted(left + p_parts)), tuple(sorted(right + q_parts)))
                     step[pair] = step.get(pair, 0) + a * n
             acc = step
-    return {(union_key(left), union_key(right)): n for (left, right), n in acc.items()}
+    return {
+        (_union_of_sorted(left), _union_of_sorted(right)): n for (left, right), n in acc.items()
+    }
 
 
 def _class_of_key(ctx: FamilyContext, key: bytes) -> IsoClass:
@@ -479,11 +483,20 @@ class K0Presentation:
        quotient is free on the point classes and the relations span
        exactly ker chi.
 
-    So ``relations_contain`` reads chi alone.  The Smith normal form of the
-    relations stays the live oracle: ``linalg.smith_diagonal`` reduces the
-    sparse rows by unit pivots, and the free rank must come out as the
-    number of point classes, with no torsion.  A missing certificate row or
-    any other Smith form raises ``IncCatError``.
+    So ``relations_contain`` reads chi alone.  The Smith normal form is
+    computed from the certificate's own rows (:func:`_smith_by_pivots`):
+    the first point split of each generator of size >= 2, and the row
+    [X_empty], are unit pivots on a triangular block, and every other
+    distinct row is reduced over the remaining columns.  When the
+    certificate holds, nothing is left, so ``linalg.smith_diagonal`` runs
+    on an empty residual and sympy is never imported; when it does not,
+    the residual gives the exact invariant factors.  The free rank must
+    come out as the number of point classes, with no torsion; a missing
+    certificate row or any other Smith form raises ``IncCatError``.
+
+    ``linalg.smith_diagonal`` on all of ``relations`` is the oracle for
+    this Smith form: ``tests/test_linalg.py`` compares the two on every
+    family at cutoffs 0-4, and the CI compares them on fin up to 7.
     """
 
     def __init__(self, ctx: FamilyContext, cutoff: int):
@@ -500,23 +513,28 @@ class K0Presentation:
         )
         index = {cls.key: i for i, cls in enumerate(self.generators)}
         rows: list[linalg.Entries] = []
-        split_off_point: set[IsoClass] = set()
+        # Generator index of each class of size >= 2 -> (point, rest) of
+        # its first split off a single point.
+        point_splits: dict[int, tuple[int, int]] = {}
         for total in range(cutoff + 1):
             for (p_cls, q_cls), entries in split_index(ctx, total).items():
+                p, q = index[p_cls.key], index[q_cls.key]
                 for r_cls, n in entries:
-                    row = _relation_row(index[p_cls.key], index[q_cls.key], index[r_cls.key])
-                    rows.extend([row] * n)
-                    if p_cls.size == 1:
-                        split_off_point.add(r_cls)
+                    r = index[r_cls.key]
+                    rows.extend([_relation_row(p, q, r)] * n)
+                    if p_cls.size == 1 and r_cls.size >= 2:
+                        point_splits.setdefault(r, (p, q))
         self.relations: tuple[linalg.Entries, ...] = tuple(rows)
         self._index = index
-        for cls in self.generators:
-            if cls.size >= 2 and cls not in split_off_point:
+        for i, cls in enumerate(self.generators):
+            if cls.size >= 2 and i not in point_splits:
                 raise IncCatError(
                     f"class {cls.hex_key} of family {ctx.name!r} has no relation "
                     "splitting off a single point"
                 )
-        self.smith_diagonal: tuple[int, ...] = linalg.smith_diagonal(self.relations)
+        self.smith_diagonal: tuple[int, ...] = _smith_by_pivots(
+            len(self.generators), point_splits, self.relations
+        )
         points = sum(cls.size == 1 for cls in self.generators)
         if self.free_rank != points or self.torsion:
             raise IncCatError(
@@ -562,6 +580,49 @@ class K0Presentation:
         if not all(isinstance(a, int) for a in vector):
             raise VectorError("vector entries must be ints")
         return not any(sum(map(operator.mul, vector, counts)) for counts in self._color_counts)
+
+
+def _smith_by_pivots(
+    width: int, point_splits: dict[int, tuple[int, int]], rows: Sequence[linalg.Entries]
+) -> tuple[int, ...]:
+    """Nonzero invariant factors of ``rows``, pivoting on the certificate's rows.
+
+    Column 0 is the empty class, and every column of ``point_splits``
+    (a class P of size >= 2) has the pivot row [pt] + [P \\ pt] - [P],
+    whose entry at P is -1 and whose other columns are smaller classes;
+    the row [X_empty], if present, is a pivot at column 0.  That block is
+    unit triangular, so eliminating it contributes one factor 1 per pivot,
+    and the Schur complement is every other row reduced over the free
+    columns: each pivot column P stands for red(P) = red(pt) + red(P \\ pt),
+    computed in increasing index (so increasing size), the empty class for
+    nothing, and each free column for its own unit vector.  A pivot row
+    reduces to zero, and so does every relation when the certificate
+    holds; what is left goes to ``linalg.smith_diagonal``.
+    """
+    distinct = dict.fromkeys(rows)
+    empty_pivot = ((0, 1),) in distinct
+    red: list[dict[int, int]] = []
+    for j in range(width):
+        split = point_splits.get(j)
+        if split is None:
+            red.append({} if j == 0 and empty_pivot else {j: 1})
+            continue
+        point, rest = split
+        vec = dict(red[point])
+        for c, a in red[rest].items():
+            vec[c] = vec.get(c, 0) + a
+        red.append(vec)
+    residual = []
+    for row in distinct:
+        vec = {}
+        for j, a in row:
+            for c, v in red[j].items():
+                vec[c] = vec.get(c, 0) + a * v
+        reduced = [(c, v) for c, v in vec.items() if v]
+        if reduced:
+            residual.append(tuple(sorted(reduced)))
+    pivots = len(point_splits) + empty_pivot
+    return (1,) * pivots + linalg.smith_diagonal(residual)
 
 
 def _relation_row(sub: int, rest: int, whole: int) -> linalg.Entries:

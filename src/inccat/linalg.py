@@ -17,12 +17,12 @@ sympy is imported only then.  Every value is a Python int throughout.
 
 A row comes in dense, as a sequence of ints, or sparse, as a sequence of
 ``(column, value)`` entries; the items of the row tell which.  Dense rows
-are converted to the same entries, so both reach the one elimination.  The truncated K0 relations of
-``hall.K0Presentation`` come sparse, straight from the split index: on
-fin:7 at cutoff 7 that is 54,724 rows of at most 3 entries over 2,451
-columns.  ``inccat k0`` on it took 13.8 s and 884 MB peak RSS with dense
-rows, and takes 3.8-4.8 s and 93 MB with sparse ones (2-vCPU x86 VM,
-Python 3.11).
+are converted to the same entries, so both reach the one elimination.
+
+``hall.K0Presentation`` pivots on its certificate's rows itself and hands
+this module only the rows left over, none when the certificate holds.
+On all of its relations ``smith_diagonal`` is the oracle for that
+reduction, in the tests and in CI.
 """
 
 from __future__ import annotations

@@ -52,7 +52,7 @@ import os
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import CycleError, PosetError, SizeCapError
 
@@ -746,7 +746,11 @@ def union_key(parts: Iterable[bytes]) -> bytes:
     component_keys(kQ))``.  A disconnected key is the tag 2 or 3, the
     total size and the sorted component keys (see :func:`canonical_form`).
     """
-    parts = sorted(parts)
+    return _union_of_sorted(sorted(parts))
+
+
+def _union_of_sorted(parts: Sequence[bytes]) -> bytes:
+    """:func:`union_key` of connected keys that are already sorted."""
     if len(parts) < 2:
         return parts[0] if parts else b""
     return bytes([parts[0][0] + 2, sum(part[1] for part in parts)]) + b"".join(parts)

@@ -109,6 +109,7 @@ from .posets import (
     induced_subposet,
     is_connected,
     relabel_by,
+    subset_key,
 )
 
 
@@ -539,12 +540,10 @@ def check_ses_classification(ctx: FamilyContext, max_size: int) -> CheckResult:
     failures: list[Any] = []
     checked = 0
     for b in objects:
+        p = b.poset
         sides = {
-            i: (
-                canonical_form(induced_subposet(b.poset, i)[0], ctx.mode),
-                canonical_form(induced_subposet(b.poset, b.poset.full_mask & ~i)[0], ctx.mode),
-            )
-            for i in order_ideals(b.poset).ideals
+            i: (subset_key(p, i, ctx.mode), subset_key(p, p.full_mask & ~i, ctx.mode))
+            for i in order_ideals(p).ideals
         }
         epis_to = [(c, canonical_form(c.poset, ctx.mode), epis(b, c, ctx.mode)) for c in objects]
         for a in objects:

@@ -598,6 +598,30 @@ class TestK0:
         with pytest.raises(IncCatError, match="free rank 2"):
             k0_truncated(fin_up_to(3), 3)
 
+    @pytest.mark.parametrize(
+        "whole_size, expected",
+        [(1, r"free rank 0 and torsion \[\]"), (0, r"free rank 0 and torsion \[2\]")],
+        ids=["unit-residual", "torsion-residual"],
+    )
+    def test_extra_row_outside_the_certificate_raises(self, monkeypatch, whole_size, expected):
+        # One more row (pt, pt) -> X: the certificate rows still pivot, and
+        # the extra row reduces to [pt] + [pt] - [X] over the point column.
+        # Into the point it leaves a unit, so nothing stays free; into the
+        # empty class, which the row [empty] pins to zero, it leaves 2.
+        def extra_split(ctx, total):
+            table = real_split_index(ctx, total)
+            if total != 2:
+                return table
+            point, whole = ctx.classes(1)[0], ctx.classes(whole_size)[0]
+            table = dict(table)
+            table[(point, point)] = (*table[(point, point)], (whole, 1))
+            return table
+
+        real_split_index = hall.split_index
+        monkeypatch.setattr(hall, "split_index", extra_split)
+        with pytest.raises(IncCatError, match=expected):
+            k0_truncated(fin_up_to(3), 3)
+
     def test_queries_do_not_load_sympy(self):
         code = (
             "import sys\n"

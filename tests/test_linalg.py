@@ -85,6 +85,8 @@ FAMILIES = ["fin", "forests", "csets:2", "cforests:2"]
 def test_k0_relation_matrices_exhaustive(spec):
     """Every K0 relation matrix at cutoff <= 4, alone and with a generator row.
 
+    ``K0Presentation`` pivots on the certificate's rows; the general
+    elimination on all of its relations is the oracle for that Smith form.
     The generator row is the class of a largest generator, so the extended
     matrix presents a quotient with torsion in fin and forests and leaves a
     residual block.  A repeated row leaves the row lattice, hence the
@@ -93,6 +95,7 @@ def test_k0_relation_matrices_exhaustive(spec):
     ctx = family_from_spec(spec, 4)
     for cutoff in range(5):
         pres = k0_truncated(ctx, cutoff)
+        assert pres.smith_diagonal == smith_diagonal(pres.relations), (spec, cutoff)
         rows = [dense(r, len(pres.generators)) for r in pres.relations]
         extended = rows + [pres.class_vector(pres.generators[-1])]
         last = ((len(pres.generators) - 1, 1),)
