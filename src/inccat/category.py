@@ -31,6 +31,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass
 
+from . import memo
 from .errors import CompositionError, NotAnIdealError, PosetError
 from .ideals import is_order_ideal, order_ideals
 from .posets import (
@@ -151,10 +152,7 @@ def zero_morphism(a: CategoryObject, b: CategoryObject, mode: MapMode = MapMode.
     return Morphism(a, b, a.poset.full_mask, 0, (), mode)
 
 
-# Hom sets by (source, target, mode).  Morphisms carry their endpoint
-# objects, labels included, so the key is the whole object.  A hom set
-# never goes stale, so the table lives as long as the process.
-_hom_sets: dict[tuple, tuple[Morphism, ...]] = {}
+_hom_sets: dict[tuple, tuple[Morphism, ...]] = memo.process_table("hom_sets")
 
 
 def _morphisms(

@@ -358,8 +358,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the axiom verification suites")
     add_family_flags(p, 4)
-    p.add_argument("--quick", action="store_true", help="small bounds (sizes <= 3)")
-    p.add_argument("--deep", type=int, default=None, help="raise every bound to N")
+    bounds = p.add_mutually_exclusive_group()
+    bounds.add_argument("--quick", action="store_true", help="small bounds (sizes <= 3)")
+    bounds.add_argument("--deep", type=int, default=None, help="raise every bound to N")
     p.add_argument("--seed", type=int, default=0, help="seed for sampled relabelings")
     p.add_argument("--schmitt", action="store_true",
                    help="run only the incidence-side (interval convolution) checks")

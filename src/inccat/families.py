@@ -28,10 +28,11 @@ and indexing them; it needs a generator and nothing else.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Callable
 
 from .errors import FamilyError, SizeCapError, TruncationError
 from .ideals import order_ideals
+from .memo import context_tables
 from .posets import (
     EMPTY_POSET,
     MapMode,
@@ -96,12 +97,9 @@ class FamilyContext:
     one of the generated classes.  :func:`verify_closure` checks that
     the index is closed under convex subposets and disjoint unions.
 
-    ``memo`` holds the tables of results that depend on the context (the
-    Hall split index per degree, the split tables of component classes
-    by key with their sides as key pairs, antipodes, the interval
-    classes of each poset's ideal splits under its order and colors,
-    and the composition table of the category checks), one named entry
-    each; they live and die with the context.
+    ``memo`` holds the tables of results that depend on the context,
+    one per name declared in :mod:`inccat.memo`; they live and die with
+    the context.
     """
 
     name: str
@@ -110,7 +108,7 @@ class FamilyContext:
     max_size: int
     classes_by_size: tuple[tuple[IsoClass, ...], ...]
     _by_key: dict[bytes, IsoClass] = field(repr=False)
-    memo: dict[str, Any] = field(default_factory=dict, init=False, repr=False)
+    memo: dict[str, dict] = field(default_factory=context_tables, init=False, repr=False)
 
     def classes(self, size: int) -> tuple[IsoClass, ...]:
         if size < 0:

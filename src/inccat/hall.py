@@ -187,7 +187,7 @@ def split_index(ctx: FamilyContext, total: int) -> dict:
     side is checked to be a member (:func:`_class_of_key`).  Computed
     once per degree and context.
     """
-    table = ctx.memo.setdefault("splits", {})
+    table = ctx.memo["splits"]
     hit = table.get(total)
     if hit is not None:
         return hit
@@ -215,7 +215,7 @@ def _split_counts(ctx: FamilyContext, r_cls: IsoClass) -> dict:
     the classes that can be components of a class of the context.  The
     side keys are not checked here; :func:`split_index` checks them.
     """
-    table = ctx.memo.setdefault("component_splits", {})
+    table = ctx.memo["component_splits"]
     hit = table.get(r_cls.key)
     if hit is not None:
         return hit
@@ -395,7 +395,7 @@ def antipode(f: HallElement, ctx: FamilyContext) -> HallElement:
 def _antipode_class(ctx: FamilyContext, cls: IsoClass) -> HallElement:
     if cls.size == 0:
         return delta(cls)
-    table = ctx.memo.setdefault("antipode", {})
+    table = ctx.memo["antipode"]
     hit = table.get(cls.key)
     if hit is not None:
         return hit

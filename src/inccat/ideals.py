@@ -13,9 +13,11 @@ subposet L \\ I, and J_{P+Q} splits as J_P x J_Q.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
+from . import memo
 from .errors import NotAnIdealError, PosetError
 from .posets import Poset, bits, disjoint_union, induced_subposet
 
@@ -42,11 +44,15 @@ class IdealLattice:
     """The distributive lattice J_P, fully enumerated.
 
     ``ideals`` is the complete tuple of ideal masks sorted by (popcount,
-    mask value); ``index`` maps each mask back to its position.
+    mask value); ``index`` maps each mask back to its position, built on
+    the first membership query.
     """
 
     ideals: tuple[int, ...]
-    index: dict[int, int] = field(repr=False)
+
+    @cached_property
+    def index(self) -> dict[int, int]:
+        return {m: k for k, m in enumerate(self.ideals)}
 
     def __len__(self) -> int:
         return len(self.ideals)
@@ -72,10 +78,7 @@ class IdealLattice:
         return i1 & i2
 
 
-# Lattices by ``leq``: J_P depends on the order alone, so copies that
-# differ only in labels or colors share one entry.  A lattice never goes
-# stale, so the table lives as long as the process.
-_lattices: dict[tuple[int, ...], IdealLattice] = {}
+_lattices: dict[tuple[int, ...], IdealLattice] = memo.process_table("ideal_lattices")
 
 
 def order_ideals(p: Poset) -> IdealLattice:
@@ -101,7 +104,7 @@ def order_ideals(p: Poset) -> IdealLattice:
 
     grow(0, 0, p.full_mask)
     ideals = tuple(sorted(found, key=lambda m: (m.bit_count(), m)))
-    lattice = IdealLattice(ideals, {m: k for k, m in enumerate(ideals)})
+    lattice = IdealLattice(ideals)
     _lattices[p.leq] = lattice
     return lattice
 

@@ -102,7 +102,7 @@ def interval_row(p: Poset, ctx: FamilyContext) -> Row:
     lattice order; a row that fails to classify is not stored.  Neither the
     Hall split index nor the ideal form reads this table: the Schmitt side
     is the independent oracle for ``hall.product``."""
-    table = ctx.memo.setdefault("intervals", {})
+    table = ctx.memo["intervals"]
     key = (p.leq, p.colors)
     row = table.get(key)
     if row is None:
@@ -228,7 +228,7 @@ def schmitt_antipode(f: IncidenceElement, ctx: FamilyContext) -> IncidenceElemen
 def _schmitt_antipode_class(ctx: FamilyContext, cls: IntervalClass) -> IncidenceElement:
     if cls.size == 0:
         return IncidenceElement({cls: Fraction(1)})
-    table = ctx.memo.setdefault("schmitt_antipode", {})
+    table = ctx.memo["schmitt_antipode"]
     hit = table.get(cls.iso.key)
     if hit is not None:
         return hit

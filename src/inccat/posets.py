@@ -54,6 +54,7 @@ from enum import Enum
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
+from . import memo
 from .errors import CycleError, PosetError, SizeCapError
 
 DEFAULT_SIZE_CAP = 32
@@ -369,6 +370,8 @@ def induced_subposet(p: Poset, mask: int) -> tuple[Poset, tuple[int, ...]]:
 # _BYTE_TABLES[m], for one byte m of a mask: the 256 bytes packed through
 # m (entry b keeps the bits of b that m has, moved down together), and the
 # set bits of m.  Each is built on first use; a race only repeats work.
+# Not a memo table: its 256 slots depend on no input, so it never grows,
+# and a list indexed by the byte is the cheapest lookup on this path.
 _BYTE_TABLES: list[tuple[bytes, tuple[int, ...]] | None] = [None] * 256
 
 
@@ -636,14 +639,7 @@ def _orbit_closure(mask: int, gens: list[tuple[int, ...]]) -> int:
     return mask
 
 
-# Canonical keys by (tag, leq, color keys): everything the key depends
-# on and nothing more, so relabelled copies share an entry, and so do
-# recoloured copies in ALL_POSET_ISOS mode.  The tag (0 or 1, as in the
-# key) stands for the mode because it hashes in C, where an Enum member
-# hashes through a Python frame.  A key never goes stale, so the table
-# lives as long as the process; filling an entry twice stores the same
-# bytes, so a race can only repeat work.
-_canonical_keys: dict[tuple, bytes] = {}
+_canonical_keys: dict[tuple, bytes] = memo.process_table("canonical_keys")
 
 
 def canonical_form(p: Poset, mode: MapMode = MapMode.ALL_POSET_ISOS) -> bytes:

@@ -9,9 +9,9 @@ relabelings.
 
 The unit, associativity, cancellation and universal checks read one
 composition table per family context (:class:`_HomTables`), kept in
-``ctx.memo["hom_tables"]``.  Objects are numbered, and every morphism
-into each object c is interned under the flat key (source index, I1,
-I2, fmap).  For every morphism g: b -> c the row ``f -> g o f`` over the
+``ctx.memo["hom_tables"]`` under its bound.  Objects are numbered, and
+every morphism into each object c is interned under the flat key
+(source index, I1, I2, fmap).  For every morphism g: b -> c the row ``f -> g o f`` over the
 morphisms f into b is built on those keys: one pass over f's (domain
 element, image) pairs gives K1, h and K3 (:func:`_composite_key`), and
 the composite's key is looked up among the morphisms into c.  Rows are
@@ -268,11 +268,14 @@ def _objects_of(ctx: FamilyContext, max_size: int) -> list[CategoryObject]:
 
 def _hom_tables(ctx: FamilyContext, max_size: int) -> _HomTables:
     """The context's table; built on first use, replaced for a larger bound."""
-    tables = ctx.memo.get("hom_tables")
-    if tables is None or tables.max_size < max_size:
-        tables = _HomTables(_objects_of(ctx, max_size), ctx.mode, max_size)
-        tables.build()
-        ctx.memo["hom_tables"] = tables
+    table = ctx.memo["hom_tables"]
+    for bound, tables in table.items():
+        if bound >= max_size:
+            return tables
+    tables = _HomTables(_objects_of(ctx, max_size), ctx.mode, max_size)
+    tables.build()
+    table.clear()
+    table[max_size] = tables
     return tables
 
 

@@ -1,6 +1,7 @@
 import hypothesis.strategies as st
 import pytest
 
+from inccat import memo
 from inccat.posets import Poset, from_covers
 
 
@@ -58,3 +59,14 @@ def diamond():
 @pytest.fixture(scope="session")
 def dot():
     return from_covers(["p"], [])
+
+
+@pytest.fixture()
+def cold_memo():
+    """Every process memo table empty for the test; the warm entries come back after."""
+    saved = {name: dict(memo.process_table(name)) for name in memo.PROCESS_TABLES}
+    memo.clear()
+    yield
+    memo.clear()
+    for name, entries in saved.items():
+        memo.process_table(name).update(entries)

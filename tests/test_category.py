@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 
 import inccat.category as category
+from inccat import memo
 from conftest import posets
 from inccat.category import (
     CategoryObject,
@@ -295,10 +296,9 @@ class TestMonoEpi:
     @pytest.mark.parametrize(
         "spec, max_size", [("fin", 4), ("forests", 5), ("csets:2", 3), ("cforests:2", 3)]
     )
-    def test_monos_and_epis_are_the_filtered_hom_set(self, spec, max_size, monkeypatch):
+    def test_monos_and_epis_are_the_filtered_hom_set(self, spec, max_size, cold_memo):
         # monos/epis enumerate only their fixed ideal; the oracle is the
         # full hom set, filtered, and the order must be the same
-        monkeypatch.setattr(category, "_hom_sets", {})
         ctx = family_from_spec(spec, max_size)
         assert (ctx.mode is MapMode.COLOR_PRESERVING_ISOS) == spec.startswith("c")
         objects = [
@@ -312,11 +312,10 @@ class TestMonoEpi:
                 assert category.monos(a, b, ctx.mode) == tuple(m for m in full if is_mono(m))
                 assert category.epis(a, b, ctx.mode) == tuple(m for m in full if is_epi(m))
 
-    def test_monos_and_epis_are_not_memoised(self, objs, monkeypatch):
-        monkeypatch.setattr(category, "_hom_sets", {})
+    def test_monos_and_epis_are_not_memoised(self, objs, cold_memo):
         assert len(category.monos(objs["dot"], objs["ac2"])) == 2
         assert len(category.epis(objs["ac2"], objs["dot"])) == 2
-        assert category._hom_sets == {}
+        assert memo.stats()["hom_sets"] == 0
 
 
 class TestDirectSum:

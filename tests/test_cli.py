@@ -234,6 +234,13 @@ class TestErrors:
             main(["frobnicate"])
         assert err.value.code == 2
 
+    def test_quick_with_deep_exit_2(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["verify", "--family", "sets", "--max-size", "3", "--quick", "--deep", "1"])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "not allowed with argument" in captured.err
+
     def test_missing_file_exit_2(self, capsys):
         assert main(["ideals", "/nonexistent/poset.json"]) == 2
 

@@ -95,6 +95,22 @@ class TestLatticeOps:
         with pytest.raises(NotAnIdealError):
             lattice_ops(lattice, 0b10, 0b01)
 
+    @pytest.mark.parametrize("query", ["contains", "require_member"])
+    def test_membership_on_a_lattice_not_yet_queried(self, diamond, cold_memo, query):
+        # the index is built by the first query, whichever it is
+        lattice = order_ideals(diamond)
+        assert "index" not in vars(lattice)
+        for mask in range(1 << diamond.size):
+            member = is_order_ideal(diamond, mask)
+            if query == "contains":
+                assert (mask in lattice) == member
+            elif member:
+                lattice.require_member(mask)
+            else:
+                with pytest.raises(NotAnIdealError, match="is not an order ideal"):
+                    lattice.require_member(mask)
+        assert lattice.index == {m: k for k, m in enumerate(filter_oracle(diamond))}
+
     def test_distributive_lattice_axioms(self):
         # (a)-(f) of the distributive lattice definition, exhaustively on
         # every class of size <= 4 and spot-checked larger shapes

@@ -1,22 +1,20 @@
-"""The memo tables: who owns them, what they key on, and that they never
-change a result.
+"""The memo tables never change a result, and each lives as long as its owner.
 
-Value-keyed tables (canonical keys, ideal lattices, hom sets) are module
-dicts that live as long as the process; per-context tables (the Hall
-split index per degree, the split tables of component classes, both
-antipodes and the interval rows, one per poset under its order and
-colors) live in ``FamilyContext.memo`` and die with the context.
+:mod:`inccat.memo` declares every table, its owner and its key.
 """
 
 import gc
+import json
 import weakref
 
 import hypothesis.strategies as st
-from hypothesis import given, settings
+import pytest
+from hypothesis import HealthCheck, given, settings
 
-from inccat import hall, ideals, posets
+from inccat import hall, ideals, memo
+from inccat.cli import main
 from inccat.families import fin_up_to
-from inccat.hall import antipode, delta, product
+from inccat.hall import antipode, delta, k0_truncated, product
 from inccat.incidence import phi, schmitt_antipode
 from inccat.posets import MapMode, Poset, canonical_form, from_covers
 
@@ -29,7 +27,8 @@ def test_context_is_collected_after_use():
     product(delta(a), delta(b), ctx)
     antipode(delta(b), ctx)
     schmitt_antipode(phi(delta(b), ctx), ctx)
-    assert set(ctx.memo) == {
+    assert set(ctx.memo) == set(memo.CONTEXT_TABLES)
+    assert {name for name, table in ctx.memo.items() if table} == {
         "splits",
         "component_splits",
         "antipode",
@@ -72,27 +71,24 @@ def test_split_index_built_once_per_degree(monkeypatch):
 def test_lattice_shared_by_relabelled_and_recoloured_copies():
     vee = from_covers(["a", "b", "c"], [("a", "b"), ("a", "c")])
     lattice = ideals.order_ideals(vee)
-    before = len(ideals._lattices)
+    before = memo.stats()["ideal_lattices"]
     relabelled = vee.relabel(["x", "y", "z"])
     recoloured = Poset(vee.leq, vee.labels, (2, 0, 1))
     assert ideals.order_ideals(relabelled) is lattice
     assert ideals.order_ideals(recoloured) is lattice
-    assert len(ideals._lattices) == before
+    assert memo.stats()["ideal_lattices"] == before
 
 
-@settings(max_examples=80, deadline=None)
+# Each example clears the tables itself; the fixture restores them once.
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(poset_strategy(max_size=6, num_colors=2), st.sampled_from(list(MapMode)))
-def test_canonical_key_same_with_table_cleared(p, mode):
+def test_canonical_key_same_with_table_cleared(cold_memo, p, mode):
     # Earlier examples leave other posets, often with the same order and
     # other colors, in the table, so a key that ignored part of its input
     # would hand back a wrong entry here.
     warm = canonical_form(p, mode)
-    saved = dict(posets._canonical_keys)
-    posets._canonical_keys.clear()
-    try:
-        cold = canonical_form(p, mode)
-    finally:
-        posets._canonical_keys.update(saved)
+    memo.clear()
+    cold = canonical_form(p, mode)
     assert cold == warm
 
 
@@ -108,8 +104,51 @@ def test_fresh_context_matches_warm_one():
         antipode(delta(c), warm)
 
     fresh = fin_up_to(4)
-    assert fresh.memo == {}
+    assert set(fresh.memo) == set(memo.CONTEXT_TABLES)
+    assert not any(fresh.memo.values())
     assert [product(delta(a), delta(b), fresh) for a, b in pairs] == [
         product(delta(a), delta(b), warm) for a, b in pairs
     ]
     assert [antipode(delta(c), fresh) for c in classes] == [antipode(delta(c), warm) for c in classes]
+
+
+def fin5_results(capsys):
+    """Keys, products, antipodes, K0 and ``verify`` stdout of fin:5, on a new context."""
+    ctx = fin_up_to(5)
+    classes = ctx.all_classes()
+    keys = [canonical_form(c.representative, mode) for c in classes for mode in MapMode]
+    products = [
+        product(delta(a), delta(b), ctx) for a in classes for b in classes if a.size + b.size <= 5
+    ]
+    antipodes = [antipode(delta(c), ctx) for c in classes]
+    pres = k0_truncated(ctx, 5)
+    k0 = (pres.generators, pres.relations, pres.smith_diagonal, pres.free_rank, pres.torsion)
+    assert main(["verify", "--family", "fin", "--max-size", "5", "--quick"]) == 0
+    return keys, products, antipodes, k0, capsys.readouterr().out
+
+
+def test_results_same_after_clear(cold_memo, capsys):
+    first = fin5_results(capsys)
+    assert all(memo.stats()[name] for name in memo.PROCESS_TABLES)
+    warm = fin5_results(capsys)
+    memo.clear()
+    assert memo.stats() == dict.fromkeys(memo.PROCESS_TABLES, 0)
+    assert fin5_results(capsys) == warm == first
+
+
+def test_stats_counts_every_declared_table():
+    ctx = fin_up_to(3)
+    a, b = ctx.classes(1)[0], ctx.classes(2)[0]
+    product(delta(a), delta(b), ctx)
+    stats = memo.stats(ctx)
+    assert list(stats) == list(memo.PROCESS_TABLES) + list(memo.CONTEXT_TABLES)
+    assert json.loads(json.dumps(stats)) == stats
+    assert stats["splits"] == len(ctx.memo["splits"]) == 1
+    assert memo.stats() == {name: stats[name] for name in memo.PROCESS_TABLES}
+
+
+def test_undeclared_table_raises():
+    with pytest.raises(KeyError):
+        memo.process_table("canonical_key")
+    with pytest.raises(KeyError):
+        fin_up_to(1).memo["split"]

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 import inccat.category as category
 import inccat.incidence as incidence
 import inccat.verification as verification
-from inccat import jsonio
+from inccat import jsonio, memo
 from inccat.category import (
     Morphism,
     compose,
@@ -78,16 +78,16 @@ class TestSuitesPass:
         # included, equals the check's on a table of its own bound
         ctx = fin_up_to(3)
         check_associativity(ctx, 2)
-        small = ctx.memo["hom_tables"]
+        (small,) = ctx.memo["hom_tables"].values()
         check_associativity(ctx, 3)
-        table = ctx.memo["hom_tables"]
+        (table,) = ctx.memo["hom_tables"].values()
         assert table is not small
         for name in TABLE_CHECKS:
             check = getattr(verification, name)
             for bound in (2, 3):
                 own = check(fin_up_to(3), bound)
                 assert own.passed and check(ctx, bound) == own, (name, bound)
-        assert ctx.memo["hom_tables"] is table
+        assert list(ctx.memo["hom_tables"]) == [3] and ctx.memo["hom_tables"][3] is table
 
     def test_suite_calls_each_public_check_once(self, monkeypatch):
         # the benchmark's per-check timings wrap these module globals
@@ -119,17 +119,17 @@ class TestSuitesPass:
             own = public(make(), universal)
             assert own.passed and results[own.name] == own
 
-    def test_suite_builds_no_hom_set_above_the_table_bound(self, monkeypatch):
+    def test_suite_builds_no_hom_set_above_the_table_bound(self, cold_memo):
         # the SES check runs one size above the table; it reads only monos
         # and epis there, so no full hom set of a larger object is built
-        monkeypatch.setattr(category, "_hom_sets", {})
         ctx = fin_up_to(4)
         results = category_suite(ctx, 3, 3)
         assert all(r.passed for r in results)
         assert results[-1].name == "category.ses-classification[n<=4]"
-        bound = ctx.memo["hom_tables"].max_size
-        assert bound == 3 and category._hom_sets
-        assert all(a.size <= bound and b.size <= bound for a, b, _ in category._hom_sets)
+        (bound,) = ctx.memo["hom_tables"]
+        hom_sets = memo.process_table("hom_sets")
+        assert bound == 3 and hom_sets
+        assert all(a.size <= bound and b.size <= bound for a, b, _ in hom_sets)
 
 
 def filtered_ses_classification(ctx, max_size):
@@ -178,8 +178,7 @@ def filtered_ses_classification(ctx, max_size):
     ],
     ids=["fin4", "forests4", "csets2-3"],
 )
-def test_ses_classification_matches_filtered_hom_sets(make, bound, monkeypatch):
-    monkeypatch.setattr(category, "_hom_sets", {})
+def test_ses_classification_matches_filtered_hom_sets(make, bound, cold_memo):
     expected = filtered_ses_classification(make(), bound)
     result = check_ses_classification(make(), bound)
     assert result == expected and result.passed
