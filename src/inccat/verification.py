@@ -153,7 +153,6 @@ class _HomTables:
 
     objects: list[CategoryObject]
     mode: MapMode
-    max_size: int
     into: list[list[Morphism]] = field(default_factory=list)
     blocks: list[list[tuple[int, int]]] = field(default_factory=list)
     intern: list[dict[tuple, int]] = field(default_factory=list)
@@ -269,13 +268,12 @@ def _objects_of(ctx: FamilyContext, max_size: int) -> list[CategoryObject]:
 def _hom_tables(ctx: FamilyContext, max_size: int) -> _HomTables:
     """The context's table; built on first use, replaced for a larger bound."""
     table = ctx.memo["hom_tables"]
-    for bound, tables in table.items():
-        if bound >= max_size:
-            return tables
-    tables = _HomTables(_objects_of(ctx, max_size), ctx.mode, max_size)
-    tables.build()
-    table.clear()
-    table[max_size] = tables
+    bound, tables = next(iter(table.items()), (-1, None))
+    if bound < max_size:
+        tables = _HomTables(_objects_of(ctx, max_size), ctx.mode)
+        tables.build()
+        table.clear()
+        table[max_size] = tables
     return tables
 
 

@@ -1,3 +1,5 @@
+from contextlib import contextmanager
+
 import hypothesis.strategies as st
 import pytest
 
@@ -61,12 +63,21 @@ def dot():
     return from_covers(["p"], [])
 
 
+@contextmanager
+def cleared_memo():
+    """Every process memo table empty inside the block; the warm entries come back after."""
+    saved = {name: dict(memo.process_table(name)) for name in memo.PROCESS_TABLES}
+    memo.clear()
+    try:
+        yield
+    finally:
+        memo.clear()
+        for name, entries in saved.items():
+            memo.process_table(name).update(entries)
+
+
 @pytest.fixture()
 def cold_memo():
     """Every process memo table empty for the test; the warm entries come back after."""
-    saved = {name: dict(memo.process_table(name)) for name in memo.PROCESS_TABLES}
-    memo.clear()
-    yield
-    memo.clear()
-    for name, entries in saved.items():
-        memo.process_table(name).update(entries)
+    with cleared_memo():
+        yield

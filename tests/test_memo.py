@@ -9,7 +9,7 @@ import weakref
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 
 from inccat import hall, ideals, memo
 from inccat.cli import main
@@ -18,7 +18,7 @@ from inccat.hall import antipode, delta, k0_truncated, product
 from inccat.incidence import phi, schmitt_antipode
 from inccat.posets import MapMode, Poset, canonical_form, from_covers
 
-from conftest import posets as poset_strategy
+from conftest import cleared_memo, posets as poset_strategy
 
 
 def test_context_is_collected_after_use():
@@ -79,16 +79,15 @@ def test_lattice_shared_by_relabelled_and_recoloured_copies():
     assert memo.stats()["ideal_lattices"] == before
 
 
-# Each example clears the tables itself; the fixture restores them once.
-@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(max_examples=80, deadline=None)
 @given(poset_strategy(max_size=6, num_colors=2), st.sampled_from(list(MapMode)))
-def test_canonical_key_same_with_table_cleared(cold_memo, p, mode):
+def test_canonical_key_same_with_table_cleared(p, mode):
     # Earlier examples leave other posets, often with the same order and
     # other colors, in the table, so a key that ignored part of its input
     # would hand back a wrong entry here.
     warm = canonical_form(p, mode)
-    memo.clear()
-    cold = canonical_form(p, mode)
+    with cleared_memo():
+        cold = canonical_form(p, mode)
     assert cold == warm
 
 

@@ -3,10 +3,9 @@ from itertools import product as iproduct
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import example, given, settings
 
-from conftest import posets
-from inccat import memo
+from conftest import cleared_memo, posets
 from inccat import posets as posets_module
 from inccat.errors import CycleError, PosetError, SizeCapError
 from inccat.families import _add_maximal_element, family_from_spec, fin_up_to
@@ -673,21 +672,20 @@ class TestCanonicalKeyLayout:
         assert union_key(parts) == canonical_form(disjoint_union(p, q)[0], mode)
 
     # Sizes up to 26 cross the byte boundaries of the row restriction.
-    # Each example clears the tables itself; the fixture restores them once.
-    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 26), st.randoms(use_true_random=False), st.sampled_from([ALL, COLOR]))
     @example(9, random.Random(1), ALL)
     @example(17, random.Random(2), COLOR)
     @example(26, random.Random(3), ALL)
-    def test_subset_key_is_key_of_induced_subposet(self, cold_memo, n, rng, mode):
+    def test_subset_key_is_key_of_induced_subposet(self, n, rng, mode):
         p = random_poset(n, rng, num_colors=2)
         mask = rng.getrandbits(n)
-        memo.clear()
-        cold = subset_key(p, mask, mode)  # a miss: builds the subposet
-        warm = subset_key(p, mask, mode)  # a hit: rows and colors only
+        with cleared_memo():
+            cold = subset_key(p, mask, mode)  # a miss: builds the subposet
+            warm = subset_key(p, mask, mode)  # a hit: rows and colors only
         assert cold == warm == canonical_form(induced_subposet(p, mask)[0], mode)
 
-    def test_component_misses_do_not_look_for_components_again(self, monkeypatch, cold_memo):
+    def test_component_misses_do_not_look_for_components_again(self, monkeypatch):
         p = copies("N", 3, rooted=False)
         calls = []
 
@@ -697,7 +695,8 @@ class TestCanonicalKeyLayout:
 
         real_components = posets_module.connected_components
         monkeypatch.setattr(posets_module, "connected_components", counting)
-        key = canonical_form(p)
+        with cleared_memo():
+            key = canonical_form(p)
         assert calls == [p.size]
         assert key == union_key([canonical_form(copies("N", 1, rooted=False))] * 3)
 
