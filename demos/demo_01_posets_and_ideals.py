@@ -9,7 +9,6 @@ lattices, and disjoint unions multiply them.
 from inccat import (
     canonical_form,
     cartesian_product,
-    disjoint_union,
     from_covers,
     interval_to_quotient_lattice,
     is_convex,

@@ -36,7 +36,6 @@ from .errors import CompositionError, NotAnIdealError, PosetError
 from .ideals import is_order_ideal, order_ideals
 from .posets import (
     EMPTY_POSET,
-    Bijection,
     MapMode,
     Poset,
     bits,

@@ -200,7 +200,7 @@ def cmd_k0(args: argparse.Namespace) -> int:
         "family": ctx.name,
         "cutoff": pres.cutoff,
         "generators": [cls.hex_key for cls in pres.generators],
-        "relation_count": len(pres.relations),
+        "relation_count": pres.relation_count,
         "invariant_factors": list(pres.smith_diagonal),
         "free_rank": pres.free_rank,
         "torsion": list(pres.torsion),
@@ -209,7 +209,7 @@ def cmd_k0(args: argparse.Namespace) -> int:
         sys.stdout.write(jsonio.dumps(payload))
         return 0
     _print(f"family {ctx.name}, cutoff {pres.cutoff} (truncated presentation)")
-    _print(f"generators {len(pres.generators)}, relations {len(pres.relations)}")
+    _print(f"generators {len(pres.generators)}, relations {pres.relation_count}")
     _print(f"invariant factors {list(pres.smith_diagonal)}")
     _print(f"free rank {pres.free_rank}, torsion {list(pres.torsion)}")
     return 0

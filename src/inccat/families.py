@@ -38,7 +38,6 @@ from .posets import (
     MapMode,
     Poset,
     _derived_poset,
-    bits,
     canonical_form,
     disjoint_union,
     induced_subposet,

@@ -465,8 +465,8 @@ class K0Presentation:
     [X_I] + [X_{P \\ I}] - [X_P] per ideal I of each representative, read
     off ``split_index`` (the degenerate ideals pin the empty class to zero);
     ``category.ses-classification`` verifies that these ideals match the
-    short exact sequences one to one.  Each relation is a sparse row of
-    ``(generator index, value)`` entries, at most three of them.
+    short exact sequences one to one.  They are kept as the index's counted
+    splits (sub, rest, whole) -> n, and ``relations`` builds rows on demand.
 
     The relation lattice is the kernel of the color-count map chi, which
     sends a generator to its ``IsoClass.color_vector``.  The certificate,
@@ -486,8 +486,8 @@ class K0Presentation:
     So ``relations_contain`` reads chi alone.  The Smith normal form is
     computed from the certificate's own rows (:func:`_smith_by_pivots`):
     the first point split of each generator of size >= 2, and the row
-    [X_empty], are unit pivots on a triangular block, and every other
-    distinct row is reduced over the remaining columns.  When the
+    [X_empty], are unit pivots on a triangular block, and every counted
+    split is reduced over the remaining columns.  When the
     certificate holds, nothing is left, so ``linalg.smith_diagonal`` runs
     on an empty residual and sympy is never imported; when it does not,
     the residual gives the exact invariant factors.  The free rank must
@@ -512,7 +512,7 @@ class K0Presentation:
             cls for size in range(cutoff + 1) for cls in ctx.classes(size)
         )
         index = {cls.key: i for i, cls in enumerate(self.generators)}
-        rows: list[linalg.Entries] = []
+        splits: dict[tuple[int, int, int], int] = {}
         # Generator index of each class of size >= 2 -> (point, rest) of
         # its first split off a single point.
         point_splits: dict[int, tuple[int, int]] = {}
@@ -521,10 +521,11 @@ class K0Presentation:
                 p, q = index[p_cls.key], index[q_cls.key]
                 for r_cls, n in entries:
                     r = index[r_cls.key]
-                    rows.extend([_relation_row(p, q, r)] * n)
+                    splits[p, q, r] = n
                     if p_cls.size == 1 and r_cls.size >= 2:
                         point_splits.setdefault(r, (p, q))
-        self.relations: tuple[linalg.Entries, ...] = tuple(rows)
+        self._splits = splits
+        self.relation_count: int = sum(splits.values())
         self._index = index
         for i, cls in enumerate(self.generators):
             if cls.size >= 2 and i not in point_splits:
@@ -533,7 +534,7 @@ class K0Presentation:
                     "splitting off a single point"
                 )
         self.smith_diagonal: tuple[int, ...] = _smith_by_pivots(
-            len(self.generators), point_splits, self.relations
+            len(self.generators), point_splits, splits
         )
         points = sum(cls.size == 1 for cls in self.generators)
         if self.free_rank != points or self.torsion:
@@ -543,6 +544,16 @@ class K0Presentation:
             )
         # One tuple per color: its count in each generator.
         self._color_counts = tuple(zip(*(cls.color_vector for cls in self.generators)))
+
+    @property
+    def relations(self) -> tuple[linalg.Entries, ...]:
+        """n rows [sub] + [rest] - [whole], sparse and sorted, per split counted n times."""
+        rows: list[linalg.Entries] = []
+        for (sub, rest, whole), n in self._splits.items():
+            row = Counter((sub, rest))
+            row[whole] -= 1
+            rows.extend([tuple(sorted((j, a) for j, a in row.items() if a))] * n)
+        return tuple(rows)
 
     @property
     def free_rank(self) -> int:
@@ -577,30 +588,30 @@ class K0Presentation:
                 f"vector has {len(vector)} entries, the presentation has "
                 f"{len(self.generators)} generators"
             )
-        if not all(isinstance(a, int) for a in vector):
+        if not all(isinstance(a, int) and not isinstance(a, bool) for a in vector):
             raise VectorError("vector entries must be ints")
         return not any(sum(map(operator.mul, vector, counts)) for counts in self._color_counts)
 
 
 def _smith_by_pivots(
-    width: int, point_splits: dict[int, tuple[int, int]], rows: Sequence[linalg.Entries]
+    width: int, point_splits: dict[int, tuple[int, int]], splits: dict[tuple[int, int, int], int]
 ) -> tuple[int, ...]:
-    """Nonzero invariant factors of ``rows``, pivoting on the certificate's rows.
+    """Nonzero invariant factors of the rows of ``splits``, pivoting on the certificate.
 
     Column 0 is the empty class, and every column of ``point_splits``
     (a class P of size >= 2) has the pivot row [pt] + [P \\ pt] - [P],
     whose entry at P is -1 and whose other columns are smaller classes;
-    the row [X_empty], if present, is a pivot at column 0.  That block is
-    unit triangular, so eliminating it contributes one factor 1 per pivot,
-    and the Schur complement is every other row reduced over the free
-    columns: each pivot column P stands for red(P) = red(pt) + red(P \\ pt),
-    computed in increasing index (so increasing size), the empty class for
-    nothing, and each free column for its own unit vector.  A pivot row
-    reduces to zero, and so does every relation when the certificate
-    holds; what is left goes to ``linalg.smith_diagonal``.
+    the split (empty, empty) -> empty, if present, pivots at column 0.
+    That block is unit triangular, so eliminating it contributes one factor
+    1 per pivot, and the Schur complement is each (distinct) split reduced
+    over the free columns to red(sub) + red(rest) - red(whole): a pivot
+    column P stands for red(P) = red(pt) + red(P \\ pt), computed in
+    increasing index (so increasing size), the empty class for nothing, and
+    each free column for its own unit vector.  A pivot row reduces to zero,
+    and so does every split when the certificate holds; what is left goes
+    to ``linalg.smith_diagonal``.
     """
-    distinct = dict.fromkeys(rows)
-    empty_pivot = ((0, 1),) in distinct
+    empty_pivot = (0, 0, 0) in splits
     red: list[dict[int, int]] = []
     for j in range(width):
         split = point_splits.get(j)
@@ -613,9 +624,9 @@ def _smith_by_pivots(
             vec[c] = vec.get(c, 0) + a
         red.append(vec)
     residual = []
-    for row in distinct:
+    for sub, rest, whole in splits:
         vec = {}
-        for j, a in row:
+        for j, a in ((sub, 1), (rest, 1), (whole, -1)):
             for c, v in red[j].items():
                 vec[c] = vec.get(c, 0) + a * v
         reduced = [(c, v) for c, v in vec.items() if v]
@@ -623,14 +634,6 @@ def _smith_by_pivots(
             residual.append(tuple(sorted(reduced)))
     pivots = len(point_splits) + empty_pivot
     return (1,) * pivots + linalg.smith_diagonal(residual)
-
-
-def _relation_row(sub: int, rest: int, whole: int) -> linalg.Entries:
-    """The sparse row [sub] + [rest] - [whole], sorted by column."""
-    row = {sub: 1}
-    row[rest] = row.get(rest, 0) + 1
-    row[whole] = row.get(whole, 0) - 1
-    return tuple(sorted((j, a) for j, a in row.items() if a))
 
 
 def k0_truncated(ctx: FamilyContext, cutoff: int) -> K0Presentation:

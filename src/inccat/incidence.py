@@ -31,7 +31,7 @@ from fractions import Fraction
 
 from .errors import TruncationError
 from .families import FamilyContext, IsoClass
-from .hall import ZERO, Combination, HallElement, TensorElement, counit
+from .hall import ZERO, Combination, HallElement, TensorElement
 from .ideals import interval_to_quotient_lattice, order_ideals, sum_decomposition
 from .posets import (
     EMPTY_POSET,

@@ -21,8 +21,8 @@ are converted to the same entries, so both reach the one elimination.
 
 ``hall.K0Presentation`` pivots on its certificate's rows itself and hands
 this module only the rows left over, none when the certificate holds.
-On all of its relations ``smith_diagonal`` is the oracle for that
-reduction, in the tests and in CI.
+On all of its relations, whose rows it builds only for this check,
+``smith_diagonal`` is the oracle for that reduction, in tests and in CI.
 """
 
 from __future__ import annotations

@@ -88,7 +88,6 @@ from .hall import (
     unit,
 )
 from .incidence import (
-    IncidenceElement,
     convolve,
     ideal_form_row,
     phi,

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from inccat import hall
 from inccat.cli import main
 from inccat.families import family_from_spec
 from inccat.hall import structure_constant
@@ -158,6 +159,22 @@ class TestHallCommands:
         )
         assert code == 0
         assert out == (GOLDEN / "k0_fin_cutoff3.json").read_text()
+
+    def test_k0_builds_no_relation_row(self, capsys, monkeypatch):
+        # The rows are the Smith oracle's view; the command reads the count.
+        def no_rows(pres):
+            raise AssertionError("inccat k0 built the relation rows")
+
+        monkeypatch.setattr(hall.K0Presentation, "relations", property(no_rows))
+        argv = ("k0", "--family", "fin", "--max-size", "3", "--cutoff", "3")
+        assert run(capsys, *argv, "--json") == (0, (GOLDEN / "k0_fin_cutoff3.json").read_text())
+        assert run(capsys, *argv) == (
+            0,
+            "family fin, cutoff 3 (truncated presentation)\n"
+            "generators 9, relations 38\n"
+            "invariant factors [1, 1, 1, 1, 1, 1, 1, 1]\n"
+            "free rank 1, torsion []\n",
+        )
 
 
 class TestFamilyDump:

@@ -542,6 +542,26 @@ class TestK0:
                     expected[tuple(a + b - c for a, b, c in ends)] += 1
             assert Counter(map(tuple, dense_relations(pres))) == expected, (spec, cutoff)
 
+    @pytest.mark.parametrize("spec", ["fin", "forests", "csets:2", "cforests:2"])
+    def test_relations_are_the_counted_splits_of_the_index(self, spec):
+        # Oracle: a flat walk of split_index, n copies of the row
+        # [P] + [Q] - [R] for each entry (P, Q) -> (R, n), in order.
+        ctx = family_from_spec(spec, 4)
+        for cutoff in range(5):
+            pres = k0_truncated(ctx, cutoff)
+            column = {cls: j for j, cls in enumerate(pres.generators)}
+            expected = []
+            for total in range(cutoff + 1):
+                for (p_cls, q_cls), entries in split_index(ctx, total).items():
+                    for r_cls, n in entries:
+                        row = [0] * len(pres.generators)
+                        row[column[p_cls]] += 1
+                        row[column[q_cls]] += 1
+                        row[column[r_cls]] -= 1
+                        expected += [tuple((j, a) for j, a in enumerate(row) if a)] * n
+            assert pres.relations == tuple(expected), (spec, cutoff)
+            assert pres.relation_count == len(expected), (spec, cutoff)
+
     def test_truncation(self):
         with pytest.raises(TruncationError):
             k0_truncated(fin_up_to(2), 3)
@@ -552,8 +572,8 @@ class TestK0:
 
     @pytest.mark.parametrize(
         "vector",
-        [[0] * 8, [0] * 10, [0.0] * 9, [0] * 8 + [1.0], ["0"] * 9],
-        ids=["short", "long", "floats", "one-float", "strings"],
+        [[0] * 8, [0] * 10, [0.0] * 9, [0] * 8 + [1.0], ["0"] * 9, [False] * 9],
+        ids=["short", "long", "floats", "one-float", "strings", "bools"],
     )
     def test_query_must_be_an_int_vector_over_the_generators(self, vector):
         pres = k0_truncated(fin_up_to(4), 3)

@@ -1,4 +1,3 @@
-import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
@@ -13,7 +12,7 @@ from inccat.ideals import (
     smallest_ideal_containing,
     sum_decomposition,
 )
-from inccat.posets import EMPTY_POSET, Poset, canonical_form, from_covers
+from inccat.posets import EMPTY_POSET, canonical_form, from_covers
 
 
 def filter_oracle(p):

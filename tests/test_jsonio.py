@@ -5,7 +5,7 @@ from inccat.category import CategoryObject, Morphism, hom_set, kernel
 from inccat.errors import IncCatError, PosetError
 from inccat.families import fin_up_to
 from inccat.hall import delta, product
-from inccat.posets import MapMode, Poset, canonical_form, from_covers
+from inccat.posets import Poset, from_covers
 
 
 class TestPosetDocs:
