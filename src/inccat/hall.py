@@ -282,11 +282,6 @@ def product(f: HallElement, g: HallElement, ctx: FamilyContext) -> HallElement:
     """
     indexes = {}
     for total in sorted({p.size + q.size for p in f.coeffs for q in g.coeffs}):
-        if total > ctx.max_size:
-            raise TruncationError(
-                f"product needs classes of size {total}, family {ctx.name!r} "
-                f"is truncated at {ctx.max_size}"
-            )
         indexes[total] = split_index(ctx, total)
     out: dict[IsoClass, Fraction] = {}
     for p_cls, x in f.coeffs.items():
@@ -430,21 +425,21 @@ def primitive_basis(ctx: FamilyContext, degree: int) -> list[HallElement]:
 
     Verified rather than assumed: each connected delta is checked
     primitive, and exact linear algebra on the reduced coproduct matrix
-    confirms the kernel has no room for anything else.
+    confirms the kernel has no room for anything else.  The matrix goes to
+    ``linalg`` transposed, a sparse row per class, which has the same rank.
     """
     if degree == 0:
         return []
     classes = list(ctx.classes(degree))
     pair_index: dict[tuple[IsoClass, IsoClass], int] = {}
-    columns = []
-    for cls in classes:
-        col: dict[int, int] = {}
-        for pair, value in reduced_coproduct(delta(cls), ctx).items():
-            row = pair_index.setdefault(pair, len(pair_index))
-            col[row] = int(value)
-        columns.append(col)
-    matrix = [[col.get(row, 0) for col in columns] for row in range(len(pair_index))]
-    kernel_dim = len(classes) - linalg.rank_over_q(matrix)
+    columns = [
+        tuple(
+            (pair_index.setdefault(pair, len(pair_index)), int(value))
+            for pair, value in reduced_coproduct(delta(cls), ctx).items()
+        )
+        for cls in classes
+    ]
+    kernel_dim = len(classes) - linalg.rank_over_q(columns)
 
     connected = [cls for cls in classes if is_connected(cls.representative)]
     for cls in connected:
@@ -502,10 +497,6 @@ class K0Presentation:
     def __init__(self, ctx: FamilyContext, cutoff: int):
         if cutoff < 0:
             raise FamilyError(f"cutoff must be nonnegative, got {cutoff}")
-        if cutoff > ctx.max_size:
-            raise TruncationError(
-                f"family {ctx.name!r} is truncated at {ctx.max_size}, cutoff {cutoff} requested"
-            )
         self.family = ctx.name
         self.cutoff = cutoff
         self.generators: tuple[IsoClass, ...] = tuple(

@@ -169,11 +169,6 @@ def schmitt_product_element(
     out: dict[IntervalClass, Fraction] = {}
     sums = sorted({a + b for a in (c.size for c in f.coeffs) for b in (c.size for c in g.coeffs)})
     for total in sums:
-        if total > ctx.max_size:
-            raise TruncationError(
-                f"product needs classes of size {total}, family {ctx.name!r} "
-                f"is truncated at {ctx.max_size}"
-            )
         for cls in ctx.classes(total):
             value = schmitt_product(f, g, cls.representative, ctx)
             if value:

@@ -15,9 +15,7 @@ nnz - 1)`` goes first, which keeps the fill-in small.  A residual block
 with no unit entry left, if any, goes to sympy's ``invariant_factors``;
 sympy is imported only then.  Every value is a Python int throughout.
 
-A row comes in dense, as a sequence of ints, or sparse, as a sequence of
-``(column, value)`` entries; the items of the row tell which.  Dense rows
-are converted to the same entries, so both reach the one elimination.
+Each row comes in as its sparse ``(column, value)`` entries, ``Entries``.
 
 ``hall.K0Presentation`` pivots on its certificate's rows itself and hands
 this module only the rows left over, none when the certificate holds.
@@ -28,36 +26,24 @@ On all of its relations, whose rows it builds only for this check,
 from __future__ import annotations
 
 import heapq
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
-Rows = Sequence[Sequence[int]]
 # One sparse row: its nonzero entries, each column at most once.
 Entries = Sequence[tuple[int, int]]
 
 
-def smith_diagonal(rows: Sequence[Sequence[int] | Entries]) -> tuple[int, ...]:
-    """Nonzero invariant factors d1 | d2 | ... of an integer matrix.
-
-    Each row is dense ints or sparse ``(column, value)`` entries.
-    """
-    pivots, residual = _eliminate_units(_entries(rows))
+def smith_diagonal(rows: Sequence[Entries]) -> tuple[int, ...]:
+    """Nonzero invariant factors d1 | d2 | ... of an integer matrix."""
+    pivots, residual = _eliminate_units(rows)
     return (1,) * pivots + _residual_factors(residual)
 
 
-def rank_over_q(rows: Rows) -> int:
+def rank_over_q(rows: Sequence[Entries]) -> int:
     """Rank over Q: the number of nonzero invariant factors over Z."""
     # Same computation as len(smith_diagonal(rows)), through the helpers so
     # that each public function's call count stays its own.
-    pivots, residual = _eliminate_units(_entries(rows))
+    pivots, residual = _eliminate_units(rows)
     return pivots + len(_residual_factors(residual))
-
-
-def _entries(rows: Sequence[Sequence[int] | Entries]) -> Iterator[Entries]:
-    """Each row as its sparse entries; a row of ints is converted."""
-    for row in rows:
-        if row and not isinstance(row[0], tuple):
-            row = tuple((j, a) for j, a in enumerate(row) if a)
-        yield row
 
 
 def _eliminate_units(rows: Iterable[Entries]) -> tuple[int, list[dict[int, int]]]:

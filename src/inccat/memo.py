@@ -22,7 +22,7 @@ die with the context:
 * ``intervals``: the interval classes of each poset's ideal splits by
   (leq, colors).
 * ``hom_tables``: the composition table of the category checks by its
-  size bound; at most one entry, for the largest bound asked for.
+  size bound; one entry per bound asked for, each built for exactly it.
 * ``antipode`` and ``schmitt_antipode``: both antipodes of a class by key.
 
 ``posets._BYTE_TABLES`` is not a memo table: its 256 slots depend on no

@@ -316,10 +316,16 @@ def disjoint_union(p: Poset, q: Poset) -> tuple[Poset, tuple[int, ...], tuple[in
     return poset, tuple(range(n)), tuple(range(n, n + m))
 
 
+def _is_permutation(perm: Sequence[int], n: int) -> bool:
+    """Are the entries of ``perm`` ints, not bools, and a permutation of 0..n-1?"""
+    ints = all(isinstance(i, int) and not isinstance(i, bool) for i in perm)
+    return ints and sorted(perm) == list(range(n))
+
+
 def relabel_by(p: Poset, perm: list[int]) -> Poset:
     """Image of P under the relabeling i -> perm[i] (labels refreshed)."""
     n = p.size
-    if sorted(perm) != list(range(n)):
+    if not _is_permutation(perm, n):
         raise PosetError(f"relabeling is not a permutation of 0..{n - 1}")
     leq = [0] * n
     colors = [0] * n
@@ -493,7 +499,7 @@ class Bijection:
         n = src.size
         if tgt.size != n or len(self.mapping) != n:
             raise PosetError("bijection endpoints must have equal size")
-        if sorted(self.mapping) != list(range(n)):
+        if not _is_permutation(self.mapping, n):
             raise PosetError("mapping is not a bijection of element indices")
         for i in range(n):
             fi = self.mapping[i]

@@ -8,19 +8,16 @@ sampled, with one exception: the Hopf-relation checks draw seeded random
 relabelings.
 
 The unit, associativity, cancellation and universal checks read one
-composition table per family context (:class:`_HomTables`), kept in
-``ctx.memo["hom_tables"]`` under its bound.  Objects are numbered, and
-every morphism into each object c is interned under the flat key
-(source index, I1, I2, fmap).  For every morphism g: b -> c the row ``f -> g o f`` over the
-morphisms f into b is built on those keys: one pass over f's (domain
-element, image) pairs gives K1, h and K3 (:func:`_composite_key`), and
-the composite's key is looked up among the morphisms into c.  Rows are
-tuples of ints indexed by (target, interned index), so no check hashes
-a morphism.  Objects are ordered by size, so the objects of a smaller
-bound, their blocks in each row and their interned indices are a prefix
-of a larger table.  The table is built on first use and replaced only
-when a larger bound is asked for; a check at a smaller bound reads its
-prefix.
+composition table per family context and size bound
+(:class:`_HomTables`), kept in ``ctx.memo["hom_tables"]`` under that
+bound.  It is built on first use for exactly its bound and read whole.
+Objects are numbered, and every morphism into each object c is interned
+under the flat key (source index, I1, I2, fmap).  For every morphism
+g: b -> c the row ``f -> g o f`` over the morphisms f into b is built on
+those keys: one pass over f's (domain element, image) pairs gives K1, h
+and K3 (:func:`_composite_key`), and the composite's key is looked up
+among the morphisms into c.  Rows are tuples of ints indexed by
+(target, interned index), so no check hashes a morphism.
 :func:`category_suite` is the list of the public checks.
 
 No composite goes unvalidated although none is built as a
@@ -140,14 +137,15 @@ def _result(name: str, failures: list, checked: int, detail: str = "") -> CheckR
 class _HomTables:
     """Interned morphisms into each object plus full composition rows.
 
-    Objects are named by their index in ``objects``.  ``into[c]`` lists
+    ``objects`` are those of one size bound, and every check reads the
+    table whole.  Objects are named by their index in ``objects``.  ``into[c]`` lists
     the morphisms into object c source by source: ``blocks[c][a]`` is the
     slice holding ``hom_set(objects[a], objects[c])``.  ``intern[c]`` maps
     the key (source index, I1, I2, fmap) of each to its index in
     ``into[c]``.  ``rows[c][j]`` is the row of g = into[c][j]: b -> c; its
     i-th entry is the index in ``into[c]`` of g o into[b][i], or -1 when
-    the key of that composite is not interned.  ``unmatched`` lists each
-    such pair as (largest index among a, b and c; g; f).
+    the key of that composite is not interned.  ``unmatched`` holds a
+    failure per such pair, with f and g as its counterexample.
     """
 
     objects: list[CategoryObject]
@@ -156,7 +154,7 @@ class _HomTables:
     blocks: list[list[tuple[int, int]]] = field(default_factory=list)
     intern: list[dict[tuple, int]] = field(default_factory=list)
     rows: list[list[tuple[int, ...]]] = field(default_factory=list)
-    unmatched: list[tuple[int, Morphism, Morphism]] = field(default_factory=list)
+    unmatched: list[dict[str, Any]] = field(default_factory=list)
 
     def build(self) -> None:
         arrows: list[list[tuple]] = []
@@ -180,25 +178,14 @@ class _HomTables:
                 b = g[0][0]
                 row = tuple([intern_c.get(_composite_key(g, f), -1) for f in arrows[b]])
                 if -1 in row:
+                    g_doc = jsonio.morphism_to_doc(self.into[c][j])
                     self.unmatched.extend(
-                        (max(arrows[b][i][0][0], b, c), self.into[c][j], self.into[b][i])
+                        {"f": jsonio.morphism_to_doc(self.into[b][i]), "g": g_doc}
                         for i, k in enumerate(row)
                         if k < 0
                     )
                 rows_c.append(row)
             self.rows.append(rows_c)
-
-    def count(self, max_size: int) -> int:
-        """The number of objects of size <= ``max_size``, a prefix of ``objects``."""
-        return sum(1 for x in self.objects if x.size <= max_size)
-
-    def unmatched_among(self, count: int) -> list[dict[str, Any]]:
-        """A failure per pair among the first ``count`` objects whose composite is not interned."""
-        return [
-            {"f": jsonio.morphism_to_doc(f), "g": jsonio.morphism_to_doc(g)}
-            for top, g, f in self.unmatched
-            if top < count
-        ]
 
 
 def _arrow(m: Morphism, source: int) -> tuple:
@@ -265,13 +252,12 @@ def _objects_of(ctx: FamilyContext, max_size: int) -> list[CategoryObject]:
 
 
 def _hom_tables(ctx: FamilyContext, max_size: int) -> _HomTables:
-    """The context's table; built on first use, replaced for a larger bound."""
+    """The context's table for exactly ``max_size``, built on first use."""
     table = ctx.memo["hom_tables"]
-    bound, tables = next(iter(table.items()), (-1, None))
-    if bound < max_size:
+    tables = table.get(max_size)
+    if tables is None:
         tables = _HomTables(_objects_of(ctx, max_size), ctx.mode)
         tables.build()
-        table.clear()
         table[max_size] = tables
     return tables
 
@@ -280,10 +266,10 @@ def check_unit_laws(ctx: FamilyContext, max_size: int) -> CheckResult:
     """id_b o m = m = m o id_a over all hom-sets, read from the table."""
     name = f"category.unit-laws[n<={max_size}]"
     tables = _hom_tables(ctx, max_size)
-    n = tables.count(max_size)
-    ids = [identity(x, ctx.mode) for x in tables.objects[:n]]
+    n = len(tables.objects)
+    ids = [identity(x, ctx.mode) for x in tables.objects]
     identities = [tables.intern[a].get(_arrow(m, a)[0]) for a, m in enumerate(ids)]
-    failures = tables.unmatched_among(n)
+    failures = list(tables.unmatched)
     failures += [jsonio.morphism_to_doc(m) for m, i in zip(ids, identities) if i is None]
     if failures:
         return _result(name, failures, 0)
@@ -321,34 +307,32 @@ def check_associativity(ctx: FamilyContext, max_size: int) -> CheckResult:
     """
     name = f"category.associativity[n<={max_size}]"
     tables = _hom_tables(ctx, max_size)
-    n = tables.count(max_size)
-    failures = tables.unmatched_among(n)
+    n = len(tables.objects)
+    failures = list(tables.unmatched)
     if failures:
         return _result(name, failures, 0)
     # the nonempty blocks of h: c -> d, per c
     h_blocks: list[list[tuple]] = [[] for _ in range(n)]
     for d in range(n):
         rows_d = tables.rows[d]
-        for c, (lo, hi) in enumerate(tables.blocks[d][:n]):
+        for c, (lo, hi) in enumerate(tables.blocks[d]):
             if hi > lo:
                 h_blocks[c].append((d, rows_d, lo, rows_d[lo:hi]))
     triples = 0
     for b in range(n):
-        # f ranges over the prefix block of the rows into b
-        width = tables.blocks[b][n - 1][1]
-        cut = itemgetter(slice(width))
+        width = len(tables.into[b])
         for c in range(n):
             for g_id in range(*tables.blocks[c][b]):
-                via = _gather(cut(tables.rows[c][g_id]))
+                via = _gather(tables.rows[c][g_id])
                 at_g = itemgetter(g_id)
                 for d, rows_d, lo, rows_h in h_blocks[c]:
                     triples += width * len(rows_h)
-                    rows_hg = map(cut, map(rows_d.__getitem__, map(at_g, rows_h)))
+                    rows_hg = map(rows_d.__getitem__, map(at_g, rows_h))
                     if not any(map(ne, map(via, rows_h), rows_hg)):
                         continue
                     for h_id, row_h in enumerate(rows_h, lo):
                         via_g = via(row_h)
-                        row_hg = cut(rows_d[row_h[g_id]])
+                        row_hg = rows_d[row_h[g_id]]
                         if via_g != row_hg:
                             bad = next(
                                 i for i, (x, y) in enumerate(zip(via_g, row_hg)) if x != y
@@ -367,8 +351,8 @@ def check_kernel_universal(ctx: FamilyContext, max_size: int) -> CheckResult:
     """Every u with m o u = 0 factors uniquely through ker(m)."""
     name = f"category.kernel-universal[n<={max_size}]"
     tables = _hom_tables(ctx, max_size)
-    n = tables.count(max_size)
-    failures = tables.unmatched_among(n)
+    n = len(tables.objects)
+    failures = list(tables.unmatched)
     if failures:
         return _result(name, failures, 0)
     objects = tables.objects
@@ -412,8 +396,8 @@ def check_cokernel_universal(ctx: FamilyContext, max_size: int) -> CheckResult:
     """Every u with u o m = 0 factors uniquely through coker(m)."""
     name = f"category.cokernel-universal[n<={max_size}]"
     tables = _hom_tables(ctx, max_size)
-    n = tables.count(max_size)
-    failures = tables.unmatched_among(n)
+    n = len(tables.objects)
+    failures = list(tables.unmatched)
     if failures:
         return _result(name, failures, 0)
     objects = tables.objects
@@ -455,13 +439,13 @@ def check_mono_epi_cancellation(ctx: FamilyContext, max_size: int) -> CheckResul
     """is_mono/is_epi agree with left/right cancellability."""
     name = f"category.mono-epi-cancellation[n<={max_size}]"
     tables = _hom_tables(ctx, max_size)
-    n = tables.count(max_size)
-    failures = tables.unmatched_among(n)
+    n = len(tables.objects)
+    failures = list(tables.unmatched)
     if failures:
         return _result(name, failures, 0)
     checked = 0
     for b in range(n):
-        blocks_b = tables.blocks[b][:n]
+        blocks_b = tables.blocks[b]
         for c in range(n):
             lo, hi = tables.blocks[c][b]
             for m_id in range(lo, hi):

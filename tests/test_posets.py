@@ -316,7 +316,9 @@ class TestConstruction:
         with pytest.raises(PosetError):
             CHAIN2.relabel(["a", "a"])
 
-    @pytest.mark.parametrize("perm", [[0, 0], [1, 1], [0, 2]])
+    @pytest.mark.parametrize(
+        "perm", [[0, 0], [1, 1], [0, 2], [1.0, 0.0], [True, False], (True, False)]
+    )
     def test_relabel_by_rejects_non_permutation(self, perm):
         with pytest.raises(PosetError):
             relabel_by(CHAIN2, perm)
@@ -477,6 +479,11 @@ class TestIsomorphisms:
     def test_bijection_validation(self, chain2, antichain2):
         with pytest.raises(PosetError):
             Bijection(chain2, antichain2, (0, 1), ALL)
+
+    @pytest.mark.parametrize("mapping", [(1.0, 0.0), (True, False), (0, 0)])
+    def test_bijection_rejects_non_permutation(self, antichain2, mapping):
+        with pytest.raises(PosetError):
+            Bijection(antichain2, antichain2, mapping, ALL)
 
     @settings(max_examples=60, deadline=None)
     @given(posets(max_size=5))

@@ -72,22 +72,23 @@ class TestSuitesPass:
         results = run_verification(sets_up_to(4), 2, 2, 3, 3, 3, seed=1)
         assert results and all(r.passed for r in results)
 
-    def test_cancellation_reads_prefix_of_larger_table(self):
-        # a larger bound replaces the table; that one table then serves
-        # every check at bounds 2 and 3, and each result, "N checked"
-        # included, equals the check's on a table of its own bound
+    def test_each_bound_reads_a_table_of_its_own(self):
+        # checks at bound 3 and then at bound 2 leave two tables, each
+        # built for exactly its bound; every result, "N checked" included,
+        # equals the check's on a fresh context
         ctx = fin_up_to(3)
-        check_associativity(ctx, 2)
-        (small,) = ctx.memo["hom_tables"].values()
-        check_associativity(ctx, 3)
-        (table,) = ctx.memo["hom_tables"].values()
-        assert table is not small
-        for name in TABLE_CHECKS:
-            check = getattr(verification, name)
-            for bound in (2, 3):
-                own = check(fin_up_to(3), bound)
-                assert own.passed and check(ctx, bound) == own, (name, bound)
-        assert list(ctx.memo["hom_tables"]) == [3] and ctx.memo["hom_tables"][3] is table
+        results = {
+            (name, bound): getattr(verification, name)(ctx, bound)
+            for bound in (3, 2)
+            for name in TABLE_CHECKS
+        }
+        tables = ctx.memo["hom_tables"]
+        assert sorted(tables) == [2, 3]
+        for bound, table in tables.items():
+            assert table.objects == verification._objects_of(ctx, bound)
+        for (name, bound), result in results.items():
+            own = getattr(verification, name)(fin_up_to(3), bound)
+            assert own.passed and result == own, (name, bound)
 
     def test_suite_calls_each_public_check_once(self, monkeypatch):
         # the benchmark's per-check timings wrap these module globals
@@ -106,14 +107,15 @@ class TestSuitesPass:
     @pytest.mark.parametrize(
         "make, bounds",
         [(lambda: fin_up_to(3), (3, 3)), (lambda: forests_up_to(3), (3, 2))],
-        ids=["fin3-own-table", "forests3-prefix"],
+        ids=["fin3-own-table", "forests3-two-bounds"],
     )
     def test_universal_checks_on_shared_table_match_public(self, make, bounds):
-        # with universal < assoc, category_suite reads a prefix of the
-        # associativity table; on a fresh context each check builds its own
+        # with universal < assoc, category_suite builds a second table for
+        # the universal bound; on a fresh context each check builds its own
         ctx = make()
         universal = bounds[1]
         results = {r.name: r for r in category_suite(ctx, *bounds)}
+        assert sorted(ctx.memo["hom_tables"]) == sorted(set(bounds))
         checks = (check_kernel_universal, check_cokernel_universal, check_mono_epi_cancellation)
         for public in checks:
             own = public(make(), universal)
@@ -353,6 +355,26 @@ class TestFailureDetection:
         result = check_unit_laws(fresh_fin, 1)
         assert not result.passed
         assert result.counterexample is not None
+
+    @pytest.mark.parametrize("name", TABLE_CHECKS)
+    def test_unmatched_table_composite_fails_each_table_check(self, fresh_fin, monkeypatch, name):
+        # the first pair the table composes gets a key that no morphism has
+        pairs = []
+
+        def corrupt(second, first, key):
+            if not pairs:
+                pairs.append((second, first))
+                return key[0], -1, 0, ()
+            return key
+
+        sabotage_composites(monkeypatch, corrupt)
+        result = getattr(verification, name)(fresh_fin, 2)
+        ((g, f),) = pairs
+        assert not result.passed and result.details == "1 failure(s)"
+        assert result.counterexample == {
+            "f": jsonio.morphism_to_doc(f),
+            "g": jsonio.morphism_to_doc(g),
+        }
 
     def test_associativity_catches_biased_compose(self, fresh_fin, monkeypatch):
         calls = {"n": 0}
