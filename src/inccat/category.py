@@ -169,6 +169,7 @@ def _morphisms(
     """
     p1, p2 = a.poset, b.poset
     out: list[Morphism] = []
+    subs2: dict[int, tuple[Poset, tuple[int, ...]]] = {}
     for i1 in i1s:
         rest = p1.full_mask & ~i1
         targets = i2s_by_size.get(rest.bit_count())
@@ -176,7 +177,9 @@ def _morphisms(
             continue
         sub1, elems1 = induced_subposet(p1, rest)
         for i2 in targets:
-            sub2, elems2 = induced_subposet(p2, i2)
+            if i2 not in subs2:
+                subs2[i2] = induced_subposet(p2, i2)
+            sub2, elems2 = subs2[i2]
             for iso in find_isomorphisms(sub1, sub2, mode):
                 fmap = tuple(elems2[iso.mapping[k]] for k in range(len(elems1)))
                 out.append(Morphism(a, b, i1, i2, fmap, mode))

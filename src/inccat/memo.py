@@ -8,6 +8,10 @@ stores an equal value, so a race can only repeat work.
 * ``canonical_keys`` (``posets``): canonical key bytes by (tag, leq,
   color keys), everything the key depends on and nothing more.  The tag
   (0 or 1, as in the key) stands for the mode because it hashes in C.
+* ``iso_signatures`` (``posets``): the element signatures that prune
+  ``find_isomorphisms``, with their sorted multiset, by the same
+  (tag, leq, color keys) as ``canonical_keys``.  A separate table, so
+  the isomorphism search, an oracle for the keys, reads no key.
 * ``ideal_lattices`` (``ideals``): J_P by ``leq``; it depends on the
   order alone, so relabelled and recoloured copies share an entry.
 * ``hom_sets`` (``category``): hom sets by (source, target, mode); the
@@ -33,7 +37,7 @@ from __future__ import annotations
 
 from typing import Any
 
-PROCESS_TABLES = ("canonical_keys", "ideal_lattices", "hom_sets")
+PROCESS_TABLES = ("canonical_keys", "iso_signatures", "ideal_lattices", "hom_sets")
 CONTEXT_TABLES = ("splits", "component_splits", "intervals", "hom_tables", "antipode", "schmitt_antipode")
 
 _process: dict[str, dict] = {name: {} for name in PROCESS_TABLES}

@@ -317,7 +317,9 @@ def disjoint_union(p: Poset, q: Poset) -> tuple[Poset, tuple[int, ...], tuple[in
 
 
 def _is_permutation(perm: Sequence[int], n: int) -> bool:
-    """Are the entries of ``perm`` ints, not bools, and a permutation of 0..n-1?"""
+    """Is ``perm`` a list or tuple of ints, not bools, permuting 0..n-1?"""
+    if not isinstance(perm, (list, tuple)):
+        return False
     ints = all(isinstance(i, int) and not isinstance(i, bool) for i in perm)
     return ints and sorted(perm) == list(range(n))
 
@@ -497,7 +499,7 @@ class Bijection:
     def __post_init__(self) -> None:
         src, tgt = self.source, self.target
         n = src.size
-        if tgt.size != n or len(self.mapping) != n:
+        if tgt.size != n:
             raise PosetError("bijection endpoints must have equal size")
         if not _is_permutation(self.mapping, n):
             raise PosetError("mapping is not a bijection of element indices")
@@ -544,7 +546,9 @@ def element_signatures(p: Poset, mode: MapMode) -> tuple:
     key search takes the same cells in the same order from
     :func:`_signature_ranks`; these tuples stay for the isomorphism search
     and the tests' unpruned key search, so the oracles share no code
-    with the key path they check.
+    with the key path they check.  Not memoised: the isomorphism search
+    reads them through its own table (:func:`_iso_signatures_of`), and
+    the unpruned key search, an oracle, computes them fresh.
     """
     n = p.size
     colors = _color_keys(p, mode)
@@ -865,19 +869,35 @@ def _connected_key(p: Poset, mode: MapMode, colors: tuple[int, ...], tag: int) -
     return key + (matrix << (-n * n % 8)).to_bytes((n * n + 7) // 8, "big")
 
 
+_iso_signatures: dict[tuple, tuple[tuple, tuple]] = memo.process_table("iso_signatures")
+
+
+def _iso_signatures_of(p: Poset, mode: MapMode) -> tuple[tuple, tuple]:
+    """:func:`element_signatures` of ``p`` and their sorted multiset, from the memo."""
+    colors = _color_keys(p, mode)
+    memo_key = (0 if mode is MapMode.ALL_POSET_ISOS else 1, p.leq, colors)
+    hit = _iso_signatures.get(memo_key)
+    if hit is None:
+        sig = element_signatures(p, mode)
+        hit = _iso_signatures[memo_key] = (sig, tuple(sorted(sig)))
+    return hit
+
+
 def find_isomorphisms(p: Poset, q: Poset, mode: MapMode = MapMode.ALL_POSET_ISOS) -> list[Bijection]:
     """The complete list of mode-admissible isomorphisms P -> Q.
 
     Empty when sizes differ or no isomorphism exists; for P = Q this is the
     automorphism group.  Results are ordered lexicographically by mapping
-    tuple, so output is deterministic.
+    tuple, so output is deterministic.  The signatures that prune the
+    search come from the ``iso_signatures`` memo table; no canonical key
+    is read, so this stays an oracle for :func:`canonical_form`.
     """
     n = p.size
     if q.size != n:
         return []
-    sp = element_signatures(p, mode)
-    sq = element_signatures(q, mode)
-    if sorted(sp) != sorted(sq):
+    sp, multiset_p = _iso_signatures_of(p, mode)
+    sq, multiset_q = _iso_signatures_of(q, mode)
+    if multiset_p != multiset_q:
         return []
     candidates = [[j for j in range(n) if sq[j] == sp[i]] for i in range(n)]
 

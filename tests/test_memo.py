@@ -16,9 +16,17 @@ from inccat.cli import main
 from inccat.families import fin_up_to
 from inccat.hall import antipode, delta, k0_truncated, product
 from inccat.incidence import phi, schmitt_antipode
-from inccat.posets import MapMode, Poset, canonical_form, from_covers
+from inccat.posets import (
+    MapMode,
+    Poset,
+    canonical_form,
+    element_signatures,
+    find_isomorphisms,
+    from_covers,
+    relabel_by,
+)
 
-from conftest import cleared_memo, posets as poset_strategy
+from conftest import cleared_memo, permutations_of, posets as poset_strategy
 
 
 def test_context_is_collected_after_use():
@@ -91,6 +99,48 @@ def test_canonical_key_same_with_table_cleared(p, mode):
     assert cold == warm
 
 
+def stored_signatures(p, mode):
+    """The ``iso_signatures`` entry of ``p``, under the key :mod:`inccat.memo` declares."""
+    tag = 0 if mode is MapMode.ALL_POSET_ISOS else 1
+    colors = p.colors if tag else (0,) * p.size
+    return memo.process_table("iso_signatures")[tag, p.leq, colors]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data(), st.sampled_from(list(MapMode)))
+def test_isomorphisms_same_with_signature_table_cleared(data, mode):
+    # A relabelled copy gets past the multiset test into the search; a
+    # random poset of the same size mostly stops at it.  Earlier examples
+    # leave the same orders with other colors in the warm table.
+    p = data.draw(poset_strategy(max_size=6, num_colors=2))
+    others = (
+        relabel_by(p, data.draw(permutations_of(p.size))),
+        data.draw(poset_strategy(min_size=p.size, max_size=p.size, num_colors=2)),
+    )
+    warm = [find_isomorphisms(p, q, mode) for q in others]
+    for q in (p, *others):
+        sig = element_signatures(q, mode)
+        assert stored_signatures(q, mode) == (sig, tuple(sorted(sig)))
+    with cleared_memo():
+        assert [find_isomorphisms(p, q, mode) for q in others] == warm
+        for q in (p, *others):
+            sig = element_signatures(q, mode)
+            assert stored_signatures(q, mode) == (sig, tuple(sorted(sig)))
+
+
+def test_signature_entries_per_coloring():
+    # One order, two colorings: colors and mode both belong to the key.
+    vee = from_covers(["a", "b", "c"], [("a", "b"), ("a", "c")])
+    colorings = [Poset(vee.leq, None, (0, 0, 0)), Poset(vee.leq, None, (0, 1, 0))]
+    with cleared_memo():
+        for p in colorings:
+            find_isomorphisms(p, p, MapMode.ALL_POSET_ISOS)
+        assert memo.stats()["iso_signatures"] == 1
+        for p in colorings:
+            find_isomorphisms(p, p, MapMode.COLOR_PRESERVING_ISOS)
+        assert memo.stats()["iso_signatures"] == 3
+
+
 def test_fresh_context_matches_warm_one():
     # The warm context fills its tables in the reverse order, so a table
     # keyed too coarsely hands the two contexts different answers.
@@ -128,6 +178,7 @@ def fin5_results(capsys):
 
 def test_results_same_after_clear(cold_memo, capsys):
     first = fin5_results(capsys)
+    assert "iso_signatures" in memo.PROCESS_TABLES
     assert all(memo.stats()[name] for name in memo.PROCESS_TABLES)
     warm = fin5_results(capsys)
     memo.clear()
@@ -139,8 +190,10 @@ def test_stats_counts_every_declared_table():
     ctx = fin_up_to(3)
     a, b = ctx.classes(1)[0], ctx.classes(2)[0]
     product(delta(a), delta(b), ctx)
+    find_isomorphisms(b.representative, b.representative)
     stats = memo.stats(ctx)
     assert list(stats) == list(memo.PROCESS_TABLES) + list(memo.CONTEXT_TABLES)
+    assert stats["iso_signatures"] == len(memo.process_table("iso_signatures")) >= 1
     assert json.loads(json.dumps(stats)) == stats
     assert stats["splits"] == len(ctx.memo["splits"]) == 1
     assert memo.stats() == {name: stats[name] for name in memo.PROCESS_TABLES}

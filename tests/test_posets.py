@@ -317,7 +317,8 @@ class TestConstruction:
             CHAIN2.relabel(["a", "a"])
 
     @pytest.mark.parametrize(
-        "perm", [[0, 0], [1, 1], [0, 2], [1.0, 0.0], [True, False], (True, False)]
+        "perm",
+        [[0, 0], [1, 1], [0, 2], [1.0, 0.0], [True, False], (True, False), None, 5, range(2)],
     )
     def test_relabel_by_rejects_non_permutation(self, perm):
         with pytest.raises(PosetError):
@@ -480,7 +481,7 @@ class TestIsomorphisms:
         with pytest.raises(PosetError):
             Bijection(chain2, antichain2, (0, 1), ALL)
 
-    @pytest.mark.parametrize("mapping", [(1.0, 0.0), (True, False), (0, 0)])
+    @pytest.mark.parametrize("mapping", [(1.0, 0.0), (True, False), (0, 0), None, 5, range(2)])
     def test_bijection_rejects_non_permutation(self, antichain2, mapping):
         with pytest.raises(PosetError):
             Bijection(antichain2, antichain2, mapping, ALL)
