@@ -508,7 +508,7 @@ class Bijection:
             for j in range(n):
                 if src.le(i, j) != tgt.le(fi, self.mapping[j]):
                     raise PosetError(f"map does not respect the order on {i},{j}")
-        if self.mode is MapMode.COLOR_PRESERVING_ISOS:
+        if _mode_tag(self.mode):
             for i in range(n):
                 if src.colors[i] != tgt.colors[self.mapping[i]]:
                     raise PosetError(f"map does not preserve the color of {i}")
@@ -526,10 +526,20 @@ class Bijection:
         return out
 
 
-def _color_keys(p: Poset, mode: MapMode) -> tuple[int, ...]:
+def _bad_mode(mode: object) -> PosetError:
+    return PosetError(f"map mode must be a MapMode member, got {mode!r}")
+
+
+def _mode_tag(mode: MapMode) -> int:
+    """The key tag of a map mode: 0 for all isomorphisms, 1 for color-preserving ones.
+
+    Anything but a :class:`MapMode` member raises :class:`PosetError`.
+    """
+    if mode is MapMode.ALL_POSET_ISOS:
+        return 0
     if mode is MapMode.COLOR_PRESERVING_ISOS:
-        return p.colors
-    return (0,) * p.size
+        return 1
+    raise _bad_mode(mode)
 
 
 _SIGNATURE_ROUNDS = 2
@@ -551,7 +561,7 @@ def element_signatures(p: Poset, mode: MapMode) -> tuple:
     the unpruned key search, an oracle, computes them fresh.
     """
     n = p.size
-    colors = _color_keys(p, mode)
+    colors = p.colors if _mode_tag(mode) else (0,) * n
     height = [0] * n
     for i in sorted(range(n), key=lambda x: p.downs[x].bit_count()):
         below = p.downs[i] & ~(1 << i)
@@ -593,14 +603,17 @@ def _signature_ranks(colors: tuple[int, ...], below: list[list[int]], above: lis
 
     A round ranks (rank, sorted ranks strictly below, sorted ranks
     strictly above) among the distinct triples.  Ranking preserves order,
-    so the ranks order the elements as the nested tuples do.  Once a
-    round adds no cell, or all cells are singletons, no later round
-    changes a rank.
+    so the ranks order the elements as the nested tuples do.  An element
+    alone in its cell keeps the 1-tuple (rank,): no other element shares
+    its rank, so its first component alone orders it against every other
+    tuple, and the ranks come out the same.  Once a round adds no cell,
+    or all cells are singletons, no later round changes a rank.
     """
     n = len(colors)
     height = [0] * n
     for i in sorted(range(n), key=lambda x: len(below[x])):
-        height[i] = max([height[j] + 1 for j in below[i]], default=0)
+        if below[i]:
+            height[i] = 1 + max([height[j] for j in below[i]])
     sig: list = [(colors[i], len(below[i]), len(above[i]), height[i]) for i in range(n)]
     rounds = count = 0
     while True:
@@ -609,9 +622,13 @@ def _signature_ranks(colors: tuple[int, ...], below: list[list[int]], above: lis
         if rounds == _SIGNATURE_ROUNDS or len(order) in (count, n):
             return rank
         rounds, count = rounds + 1, len(order)
+        size = [0] * count
+        for r in rank:
+            size[r] += 1
         sig = [
-            (rank[i], tuple(sorted([rank[j] for j in below[i]])), tuple(sorted([rank[j] for j in above[i]])))
-            for i in range(n)
+            (r,) if size[r] == 1
+            else (r, tuple(sorted([rank[j] for j in below[i]])), tuple(sorted([rank[j] for j in above[i]])))
+            for i, r in enumerate(rank)
         ]
 
 
@@ -664,12 +681,18 @@ def canonical_form(p: Poset, mode: MapMode = MapMode.ALL_POSET_ISOS) -> bytes:
     starts with its own tag and size, which fix its length, so the
     concatenation parses without separators.  The search behind a
     connected key skips only subtrees that automorphisms map onto
-    explored ones, so its bytes are those of the unpruned search.
+    explored ones, so its bytes are those of the unpruned search.  A
+    ``mode`` that is not a :class:`MapMode` member raises
+    :class:`PosetError`.
     """
-    if p.size == 0:
+    if mode is MapMode.ALL_POSET_ISOS:
+        tag, colors = 0, (0,) * p.size
+    elif mode is MapMode.COLOR_PRESERVING_ISOS:
+        tag, colors = 1, p.colors
+    else:
+        raise _bad_mode(mode)
+    if not colors:  # the empty poset
         return b""
-    tag = 0 if mode is MapMode.ALL_POSET_ISOS else 1
-    colors = _color_keys(p, mode)
     memo_key = (tag, p.leq, colors)
     hit = _canonical_keys.get(memo_key)
     if hit is not None:
@@ -690,7 +713,7 @@ def _component_key(p: Poset, mask: int, mode: MapMode, tag: int) -> bytes:
     :func:`_connected_key`, without looking for components again.
     """
     sub, _ = induced_subposet(p, mask)
-    colors = _color_keys(sub, mode)
+    colors = sub.colors if tag else (0,) * sub.size
     memo_key = (tag, sub.leq, colors)
     hit = _canonical_keys.get(memo_key)
     if hit is None:
@@ -713,9 +736,11 @@ def subset_key(p: Poset, mask: int, mode: MapMode = MapMode.ALL_POSET_ISOS) -> b
     rows, elements = _restricted_rows(p.leq, mask)
     if mode is MapMode.ALL_POSET_ISOS:
         memo_key = (0, rows, (0,) * len(rows))
-    else:
+    elif mode is MapMode.COLOR_PRESERVING_ISOS:
         p_colors = p.colors
         memo_key = (1, rows, tuple([p_colors[e] for e in elements]))
+    else:
+        raise _bad_mode(mode)
     hit = _canonical_keys.get(memo_key)
     if hit is not None:
         return hit
@@ -777,6 +802,15 @@ def _connected_key(p: Poset, mode: MapMode, colors: tuple[int, ...], tag: int) -
     bits ``q <= e``) is kept in ``code`` as elements are placed, and each
     tail is an int of fixed width, so blocks and tails compare as ints.
 
+    From position ``forced`` on every cell is a singleton, so the search
+    has one candidate per position there: it groups nothing, finds no
+    automorphism and places the elements in cell order.  ``forced_tail``
+    computes that tail and its leaf in one loop, on a copy of ``code``,
+    with the same block formula, so the bytes are those of the recursion
+    it replaces.  The base case, all elements placed, is the empty forced
+    tail.  When every cell is a singleton (``forced == 0``) the search is
+    that loop alone and no twins are computed.
+
     Two prunings skip a candidate whose subtree is the image of an
     explored sibling's under an automorphism fixing the placed prefix.
     Such an image has the same least tail, so neither pruning changes a
@@ -797,7 +831,11 @@ def _connected_key(p: Poset, mode: MapMode, colors: tuple[int, ...], tag: int) -
     for i in range(n):
         cells[rank[i]].append(i)
     cell_at = [cell for cell in cells for _ in cell]  # the cell of each position
-    twin = _twin_classes(p, colors)
+    forced = n  # the first position from which every cell is a singleton
+    while forced and len(cell_at[forced - 1]) == 1:
+        forced -= 1
+    forced_order = tuple([cell[0] for cell in cell_at[forced:]])
+    twin = _twin_classes(p, colors) if forced else []
     # code[e] holds, at bit n - 1 - k of its high and low n bits, whether
     # e <= q and whether q <= e for the element q placed at position k.
     code = [0] * n
@@ -807,11 +845,25 @@ def _connected_key(p: Poset, mode: MapMode, colors: tuple[int, ...], tag: int) -
 
     placed: list[int] = []
 
+    def forced_tail() -> tuple[int, tuple[int, ...]]:
+        """The tail from position ``forced`` on, where each cell has one element, and its leaf."""
+        c = code[:]
+        tail = 0
+        for k, e in enumerate(forced_order, forced):
+            v = c[e]  # the block formula of dfs, at position k
+            tail |= ((v >> (2 * n - k)) << (k + 1) | 1 << k | (v & low_bits) >> (n - k)) << (n * n - (k + 1) ** 2)
+            bit_lo = 1 << (n - 1 - k)
+            for f in below[e]:
+                c[f] ^= bit_lo << n
+            for f in above[e]:
+                c[f] ^= bit_lo
+        return tail, tuple(placed) + forced_order
+
     def dfs(used: int) -> tuple[int, tuple[int, ...]]:
         """Least tail below this node, and a leaf order that attains it."""
         depth = len(placed)
-        if depth == n:
-            return 0, tuple(placed)
+        if depth == forced:
+            return forced_tail()
         groups: dict[int, list[int]] = {}
         seen_twins = 0
         for e in cell_at[depth]:
@@ -874,8 +926,8 @@ _iso_signatures: dict[tuple, tuple[tuple, tuple]] = memo.process_table("iso_sign
 
 def _iso_signatures_of(p: Poset, mode: MapMode) -> tuple[tuple, tuple]:
     """:func:`element_signatures` of ``p`` and their sorted multiset, from the memo."""
-    colors = _color_keys(p, mode)
-    memo_key = (0 if mode is MapMode.ALL_POSET_ISOS else 1, p.leq, colors)
+    tag = _mode_tag(mode)
+    memo_key = (tag, p.leq, p.colors if tag else (0,) * p.size)
     hit = _iso_signatures.get(memo_key)
     if hit is None:
         sig = element_signatures(p, mode)
@@ -892,6 +944,7 @@ def find_isomorphisms(p: Poset, q: Poset, mode: MapMode = MapMode.ALL_POSET_ISOS
     search come from the ``iso_signatures`` memo table; no canonical key
     is read, so this stays an oracle for :func:`canonical_form`.
     """
+    _mode_tag(mode)  # rejects a mode that is not a MapMode member
     n = p.size
     if q.size != n:
         return []

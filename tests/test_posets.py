@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import product as iproduct
 
 import hypothesis.strategies as st
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 
 from conftest import cleared_memo, posets
+from inccat import memo
 from inccat import posets as posets_module
 from inccat.errors import CycleError, PosetError, SizeCapError
 from inccat.families import _add_maximal_element, family_from_spec, fin_up_to
@@ -156,6 +158,23 @@ def key_signature_ranks(p, mode):
     """The integer ranks that pre-partition the key search."""
     colors = p.colors if mode is COLOR else (0,) * p.size
     return _signature_ranks(colors, *_strict_relations(p.leq))
+
+
+def forced_position(p, mode):
+    """The first position from which every cell of the key search is a singleton.
+
+    Read from the cell sizes of ``_signature_ranks``: one past the last
+    position whose cell has two or more elements, 0 if there is none.
+    """
+    rank = key_signature_ranks(p, mode)
+    size = Counter(rank)
+    return max((k + 1 for k, r in enumerate(sorted(rank)) if size[r] > 1), default=0)
+
+
+def forced_case(p, mode):
+    """Which forced tail the key search of ``p`` takes: "none", "partial" or "whole"."""
+    forced = forced_position(p, mode)
+    return "whole" if forced == 0 else "none" if forced == p.size else "partial"
 
 
 def random_poset(n, rng, num_colors=1):
@@ -597,6 +616,29 @@ class TestCanonicalForm:
         assert canonical_form(shuffled(p, k)) == canonical_form(p)
 
 
+MODE_ENTRIES = {
+    "canonical_form": lambda p, mode: canonical_form(p, mode),
+    "canonical_form of the empty poset": lambda p, mode: canonical_form(EMPTY_POSET, mode),
+    "subset_key": lambda p, mode: subset_key(p, p.full_mask, mode),
+    "find_isomorphisms": lambda p, mode: find_isomorphisms(p, p, mode),
+    "find_isomorphisms, sizes differ": lambda p, mode: find_isomorphisms(p, ANTI3, mode),
+    "automorphisms": lambda p, mode: automorphisms(p, mode),
+    "element_signatures": lambda p, mode: element_signatures(p, mode),
+    "Bijection": lambda p, mode: Bijection(p, p, (0, 1), mode),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(MODE_ENTRIES))
+@pytest.mark.parametrize("mode", ["color", None, 1], ids=repr)
+def test_non_mapmode_mode_raises_and_stores_nothing(entry, mode, cold_memo):
+    # "color" once took tag 1 but wrote no color bytes, and stored that
+    # malformed key where the color-preserving mode reads it.
+    with pytest.raises(PosetError, match="map mode"):
+        MODE_ENTRIES[entry](CHAIN2, mode)
+    assert all(entries == 0 for entries in memo.stats().values())
+    assert canonical_form(CHAIN2, COLOR) == bytes.fromhex("01020000b0") == unpruned_connected_key(CHAIN2, COLOR)
+
+
 class TestRestriction:
     """The byte-table restriction of relation rows against the bit loop."""
 
@@ -748,6 +790,56 @@ class TestCanonicalKeyLayout:
             key = canonical_form(p, mode)
             assert len(key) == 2 + (n if mode is COLOR else 0) + (n * n + 7) // 8
             assert key == unpruned_connected_key(p, mode)
+
+    def test_forced_tails_match_unpruned_search(self):
+        # Random connected posets with random colors, randomly relabelled,
+        # in both modes; every key search either is a forced tail alone
+        # (forced == 0), ends in one (0 < forced < n) or has none
+        # (forced == n), and the inputs must include all three.
+        rng = random.Random(26)
+        cases = Counter()
+        for _ in range(300):
+            p = random_poset(rng.randint(1, 14), rng, num_colors=rng.randint(1, 3))
+            if not is_connected(p):
+                continue
+            for mode in (ALL, COLOR):
+                assert canonical_form(p, mode) == unpruned_connected_key(p, mode)
+                cases[forced_case(p, mode)] += 1
+        assert set(cases) == {"whole", "partial", "none"}
+        assert min(cases.values()) >= 20
+
+    def test_forced_tails_match_unpruned_search_exhaustively(self):
+        # Every connected poset up to 6 elements with every 2-coloring.
+        cases = Counter()
+        for cls in fin_up_to(6).all_classes():
+            if not is_connected(cls.representative):
+                continue
+            for colors in iproduct(range(2), repeat=cls.size):
+                q = Poset(cls.representative.leq, None, colors)
+                assert canonical_form(q, COLOR) == unpruned_connected_key(q, COLOR)
+                cases[forced_case(q, COLOR)] += 1
+        assert set(cases) == {"whole", "partial", "none"}
+        assert sum(cases.values()) == sum(2**n * c for n, c in enumerate([0, 1, 1, 3, 10, 44, 238]))
+
+    # Twins prune every search with a cell of two or more elements; see
+    # ``_twin_classes`` for what they save.
+    @pytest.mark.parametrize(
+        "p, twin_scans",
+        [(chain(5), 0), (LAMBDA, 1), (copies("V", 3, rooted=True), 1), (shuffled(copies("Lambda", 1, rooted=True), 1), 1)],
+        ids=["chain", "Lambda", "rooted V x 3", "rooted Lambda"],
+    )
+    def test_twins_are_found_unless_every_cell_is_a_singleton(self, p, twin_scans, monkeypatch, cold_memo):
+        calls = []
+
+        def counting(q, colors):
+            calls.append(q.size)
+            return real_twin_classes(q, colors)
+
+        real_twin_classes = posets_module._twin_classes
+        monkeypatch.setattr(posets_module, "_twin_classes", counting)
+        assert canonical_form(p) == unpruned_connected_key(p, ALL)
+        assert len(calls) == twin_scans
+        assert (forced_position(p, ALL) == 0) == (twin_scans == 0)
 
     @settings(max_examples=150, deadline=None)
     @given(posets(max_size=8, num_colors=3))
