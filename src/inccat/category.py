@@ -38,6 +38,7 @@ from .posets import (
     EMPTY_POSET,
     MapMode,
     Poset,
+    _mode_tag,
     bits,
     canonical_form,
     disjoint_union,
@@ -93,7 +94,7 @@ class Morphism:
         n2 = p2.size
         image = 0
         for b in self.fmap:
-            if not isinstance(b, int) or not 0 <= b < n2:
+            if not isinstance(b, int) or isinstance(b, bool) or not 0 <= b < n2:
                 raise PosetError("f must be a tuple of element indices of the target")
             image |= 1 << b
         domain_mask = p1.full_mask & ~self.i1
@@ -107,7 +108,7 @@ class Morphism:
         # f(a) inside I2.
         image_of_bit = {1 << a: 1 << fa for a, fa in zip(domain, self.fmap)}
         leq1, leq2 = p1.leq, p2.leq
-        check_colors = self.mode is MapMode.COLOR_PRESERVING_ISOS
+        check_colors = _mode_tag(self.mode)  # rejects a mode that is not a MapMode member
         for a, fa in zip(domain, self.fmap):
             above = leq1[a] & domain_mask
             image = 0

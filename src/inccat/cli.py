@@ -28,7 +28,7 @@ from .errors import FamilyError, IncCatError
 from .families import FamilyContext, IsoClass, family_from_spec
 from .hall import delta, k0_truncated, primitive_basis, product, coproduct, antipode, split_index
 from .ideals import order_ideals
-from .posets import MapMode, bits, size_cap
+from .posets import MapMode, bits
 from .verification import run_verification, schmitt_suite
 
 
@@ -380,7 +380,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        size_cap()  # a bad INCCAT_MAX_POSET_SIZE fails here, for every command
         return args.func(args)
     except IncCatError as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -19,7 +19,7 @@ class CycleError(PosetError):
 
 
 class SizeCapError(PosetError):
-    """A poset exceeds the configured maximum size."""
+    """A poset exceeds the fixed size cap of 32 elements."""
 
 
 class NotAnIdealError(IncCatError):

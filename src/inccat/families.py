@@ -35,6 +35,7 @@ from .ideals import order_ideals
 from .memo import context_tables
 from .posets import (
     EMPTY_POSET,
+    SIZE_CAP,
     MapMode,
     Poset,
     _derived_poset,
@@ -42,7 +43,6 @@ from .posets import (
     disjoint_union,
     induced_subposet,
     is_convex,
-    size_cap,
 )
 
 
@@ -197,8 +197,8 @@ def _family(
     the poset size cap and the 256 colors a poset allows: generation
     builds its posets without re-validation.
     """
-    if max_size > (cap := size_cap()):
-        raise SizeCapError(f"max size {max_size} exceeds the poset size cap {cap}")
+    if max_size > SIZE_CAP:
+        raise SizeCapError(f"max size {max_size} exceeds the poset size cap {SIZE_CAP}")
     if num_colors > 256:
         raise FamilyError(f"at most 256 colors are supported, got {num_colors}")
     levels = _generate(max_size, mode, num_colors, extensions)
@@ -276,6 +276,8 @@ def colored_forests_up_to(n: int, k: int, root_max: bool = False) -> FamilyConte
 def family_from_spec(spec: str, max_size: int, root_max: bool = False) -> FamilyContext:
     """Parse a CLI-style family spec: fin | sets | csets:k | forests | cforests:k."""
     base, _, arg = spec.partition(":")
+    if root_max and base in ("fin", "sets", "csets"):
+        raise FamilyError("--root-max only applies to forest families")
     if base == "fin" and not arg:
         return fin_up_to(max_size)
     if base == "sets" and not arg:
@@ -288,8 +290,6 @@ def family_from_spec(spec: str, max_size: int, root_max: bool = False) -> Family
         except ValueError:
             raise FamilyError(f"bad color count in family spec {spec!r}") from None
         if base == "csets":
-            if root_max:
-                raise FamilyError("--root-max only applies to forest families")
             return colored_sets_up_to(max_size, k)
         return colored_forests_up_to(max_size, k, root_max=root_max)
     raise FamilyError(f"unknown family spec {spec!r}")

@@ -37,18 +37,18 @@ family) build through :func:`_derived_poset` and skip those checks: a
 restriction, a reversal or a disjoint union of partial orders is again
 one, and they carry over the parents' distinct labels and small colors.
 
-The size cap (default 32) keeps bitmask rows small and catches runaway
-inputs early; override it with the INCCAT_MAX_POSET_SIZE environment
-variable.  It is read once per public call that can grow a poset: a
-direct construction, :func:`disjoint_union` (which compares the summed
-size with it) and the family generators (which compare the requested
-maximum size with it before generating anything).  A restriction or a
-dual is never larger than its parent, so it reads no cap.
+The size cap :data:`SIZE_CAP` is a fixed 32.  It keeps two formats in
+range: a key stores the size in one byte, and :func:`_restricted_rows`
+packs a row through at most four byte tables.  It is checked once per
+public call that can grow a poset: a direct construction,
+:func:`disjoint_union` (which compares the summed size with it) and the
+family generators (which compare the requested maximum size with it
+before generating anything).  A restriction or a dual is never larger
+than its parent, so it needs no check.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -57,28 +57,12 @@ from typing import Iterable, Iterator, Sequence
 from . import memo
 from .errors import CycleError, PosetError, SizeCapError
 
-DEFAULT_SIZE_CAP = 32
-SIZE_CAP_ENV = "INCCAT_MAX_POSET_SIZE"
-
-
-def size_cap() -> int:
-    """Maximum supported poset size (env override INCCAT_MAX_POSET_SIZE)."""
-    raw = os.environ.get(SIZE_CAP_ENV)
-    if raw is None:
-        return DEFAULT_SIZE_CAP
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise SizeCapError(f"invalid {SIZE_CAP_ENV}={raw!r}") from exc
-    if cap < 0:
-        raise SizeCapError(f"invalid {SIZE_CAP_ENV}={raw!r}")
-    return cap
+SIZE_CAP = 32
 
 
 def _check_cap(n: int) -> None:
-    # A size-0 poset fits any cap, so EMPTY_POSET reads no env at import.
-    if n and n > (cap := size_cap()):
-        raise SizeCapError(f"poset size {n} exceeds the cap {cap}")
+    if n > SIZE_CAP:
+        raise SizeCapError(f"poset size {n} exceeds the cap {SIZE_CAP}")
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -402,8 +386,9 @@ def _restricted_rows(leq: tuple[int, ...], mask: int) -> tuple[tuple[int, ...], 
     The new index of an element is the number of mask bits below it, so
     new indices follow the ascending order of the original ones.  A row
     is packed a byte at a time, one lookup in the table of each nonzero
-    byte of the mask (at most four, as n <= 32), shifted by the number
-    of mask bits in the bytes below.
+    byte of the mask (at most four, since no poset exceeds
+    :data:`SIZE_CAP`), shifted by the number of mask bits in the bytes
+    below.
     """
     if mask < 256:
         packed, elements = _BYTE_TABLES[mask] or _byte_table(mask)

@@ -72,8 +72,8 @@ class TestMorphismValidation:
 
     @pytest.mark.parametrize(
         "fmap",
-        [(-1, 0), [0, 1], (0, 2), (0, 1.0), (0, "1")],
-        ids=["negative", "list", "past-target", "float", "str"],
+        [(-1, 0), [0, 1], (0, 2), (0, 1.0), (0, "1"), (0, True)],
+        ids=["negative", "list", "past-target", "float", "str", "bool"],
     )
     def test_map_must_be_a_tuple_of_target_indices(self, objs, fmap):
         with pytest.raises(PosetError, match="tuple of element indices"):

@@ -130,12 +130,6 @@ class TestSizeCap:
     def test_sets_at_the_cap(self):
         assert len(sets_up_to(32).classes(32)) == 1
 
-    def test_lowered_cap(self, monkeypatch):
-        monkeypatch.setenv("INCCAT_MAX_POSET_SIZE", "3")
-        assert len(fin_up_to(3).classes(3)) == 5
-        with pytest.raises(SizeCapError):
-            fin_up_to(4)
-
 
 class TestColoredSets:
     def test_class_counts(self):
@@ -360,8 +354,9 @@ class TestFamilySpec:
             family_from_spec("rings", 3)
         with pytest.raises(FamilyError):
             family_from_spec("csets:x", 3)
-        with pytest.raises(FamilyError):
-            family_from_spec("csets:2", 3, root_max=True)
+        for spec in ("csets:2", "fin", "sets"):
+            with pytest.raises(FamilyError, match="--root-max only applies to forest families"):
+                family_from_spec(spec, 2, root_max=True)
 
     def test_color_count_limit(self):
         assert len(colored_sets_up_to(1, 256).classes(1)) == 256

@@ -1,8 +1,9 @@
-"""Every name a module of ``inccat`` imports is used in that module.
+"""Every name a module of ``inccat`` imports is used in that module, and
+every source file parses with the oldest supported Python's grammar.
 
-The scan reads each module's syntax tree with the standard library's
-``ast``, so it needs no linter.  ``__init__.py`` is exempt: the names it
-imports are the package's public API.
+The scans read syntax trees with the standard library's ``ast``, so they
+need no linter.  ``__init__.py`` is exempt from the import scan: the
+names it imports are the package's public API.
 """
 
 import ast
@@ -12,6 +13,8 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "inccat"
 MODULES = sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
+ROOT = PACKAGE.parent.parent
+SOURCES = sorted(path for top in ("src", "tests", "bench", "demos") for path in (ROOT / top).rglob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -41,3 +44,19 @@ def test_scan_finds_an_unused_name():
         "    return os.path.join(*x)\n"
     )
     assert unused_imports(source) == ["Any"]
+
+
+def test_every_source_file_parses_as_python_3_10():
+    """The syntax half of the CI's Python 3.10 leg, run on any newer Python.
+
+    This checks syntax only: a call to a standard-library function added
+    after 3.10 still passes.
+    """
+    assert len(SOURCES) > 30
+    for path in SOURCES:
+        ast.parse(path.read_text(), str(path), feature_version=(3, 10))
+
+
+def test_python_3_11_syntax_is_rejected():
+    with pytest.raises(SyntaxError):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=(3, 10))

@@ -1,16 +1,22 @@
-"""The oracle routes reach no canonical key and share only listed primitives.
+"""The oracle routes reach none of what they check and share only listed primitives.
 
 ``find_isomorphisms``, ``element_signatures``, ``structure_constant`` and
 ``is_convex_via_ideals`` check the key search, its refinement, the Hall
-product and ``is_convex``.  They prove something only while they compute
-apart from what they check.  The check here is a call graph of
+product and ``is_convex``, so they must reach no canonical key.  The
+Schmitt side (``interval_row``, ``ideal_form_row``,
+``schmitt_product_ideal_form``, ``schmitt_coproduct``) checks the Hall
+product and coproduct through ``phi``; it classifies intervals through
+``class_of`` by design, so it must instead stay off the Hall split
+tables.  A route proves something only while it computes apart from
+what it checks.  The check here is a call graph of
 ``src/inccat`` by name: every name or attribute read in a function body
 (nested functions included) links to every function or method of that
 name, and a class name to its ``__init__``/``__post_init__``.  It
 over-approximates, so it can raise a false alarm but never misses a
 call made by name.  A route fails when it reaches a forbidden name, or
 when it shares a function with the fast paths that is on none of the
-lists below.
+lists below and that it does not reach through a fast route it calls by
+design.
 """
 
 import ast
@@ -21,9 +27,8 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "inccat"
 
-ORACLE_ROUTES = ["find_isomorphisms", "element_signatures", "structure_constant", "is_convex_via_ideals"]
 # The key search, the keyed lookups and the memo table of keys.
-FORBIDDEN = {
+KEY_SEARCH = {
     "_signature_ranks",
     "_connected_key",
     "canonical_form",
@@ -32,7 +37,21 @@ FORBIDDEN = {
     "class_of",
     "_canonical_keys",
 }
-FAST_ROUTES = ["canonical_form", "subset_key", "split_index", "class_of", "product"]
+# The Hall product and coproduct through the split tables.
+HALL_FAST_PATH = {"split_index", "subset_key", "_split_counts", "_class_of_key", "product", "coproduct"}
+# Each route: the names it must not reach, and the fast routes it calls
+# by design, whose reach it may share.
+ORACLE_ROUTES = {
+    "find_isomorphisms": (KEY_SEARCH, ()),
+    "element_signatures": (KEY_SEARCH, ()),
+    "structure_constant": (KEY_SEARCH, ()),
+    "is_convex_via_ideals": (KEY_SEARCH, ()),
+    "interval_row": (HALL_FAST_PATH, ("class_of",)),
+    "ideal_form_row": (HALL_FAST_PATH, ("class_of",)),
+    "schmitt_product_ideal_form": (HALL_FAST_PATH, ("class_of",)),
+    "schmitt_coproduct": (HALL_FAST_PATH, ("class_of",)),
+}
+FAST_ROUTES = ["canonical_form", "subset_key", "split_index", "class_of", "product", "coproduct"]
 
 # Shared primitives, each with the test that is its own oracle.  A fault
 # in one would move a fast path and its oracle together, so each needs a
@@ -45,17 +64,19 @@ SHARED_PRIMITIVES = {
     "posets._byte_table": "tests/test_posets.py::TestRestriction::test_every_mask_up_to_eight_elements",
     "posets.Poset.downs": "tests/test_posets.py::TestComponents::test_downs_is_transpose_of_leq",
 }
-# The poset's fields, their validation and bit iteration: the data every
-# route reads, not a computation that could agree with itself.
+# The poset's fields, their validation, the map mode's check, bit
+# iteration and the family's class lists: the data every route reads,
+# not a computation that could agree with itself.
 POSET_BASICS = {
     "posets.Poset.__post_init__",
     "posets.Poset.size",
     "posets.Poset.full_mask",
     "posets._check_cap",
     "posets._check_tuple_of",
-    "posets.size_cap",
     "posets.bits",
     "posets._bad_mode",
+    "posets._mode_tag",
+    "families.FamilyContext.classes",
 }
 # Methods linked only because a local variable or an attribute that a
 # route reads shares their name (``size``, ``ideal``, ``sub``); no route
@@ -110,10 +131,11 @@ def violations(sources):
     fast = reachable(graph, FAST_ROUTES)
     allowed = set(SHARED_PRIMITIVES) | POSET_BASICS | NAME_COLLISIONS
     out = {}
-    for route in ORACLE_ROUTES:
+    for route, (forbidden, by_design) in ORACLE_ROUTES.items():
         reached = reachable(graph, [route])
         names = {fid.rsplit(".", 1)[1] for fid in reached}.union(*(graph[1][fid] for fid in reached))
-        out[route] = (sorted(names & FORBIDDEN), sorted((reached & fast) - allowed))
+        shared = reached & fast - reachable(graph, by_design) - allowed
+        out[route] = (sorted(names & forbidden), sorted(shared))
     return out
 
 
@@ -168,6 +190,18 @@ def test_structure_constant_calling_subset_key_is_caught():
     )
     forbidden, _ = violations(sources)["structure_constant"]
     assert "subset_key" in forbidden and "canonical_form" in forbidden
+
+
+def test_schmitt_coproduct_calling_hall_coproduct_is_caught():
+    sources = mutated(
+        package_sources(),
+        "incidence",
+        "    degrees = sorted({cls.size for cls in f.coeffs})\n",
+        "    hall.coproduct(phi_inverse(f), ctx)\n"
+        "    degrees = sorted({cls.size for cls in f.coeffs})\n",
+    )
+    forbidden, _ = violations(sources)["schmitt_coproduct"]
+    assert "coproduct" in forbidden and "split_index" in forbidden
 
 
 def test_sharing_an_unlisted_function_is_caught():

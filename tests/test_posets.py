@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from conftest import cleared_memo, posets
 from inccat import memo
 from inccat import posets as posets_module
+from inccat.category import CategoryObject, Morphism, identity
 from inccat.errors import CycleError, PosetError, SizeCapError
 from inccat.families import _add_maximal_element, family_from_spec, fin_up_to
 from inccat.ideals import order_ideals
@@ -291,10 +292,10 @@ class TestConstruction:
         assert EMPTY_POSET.size == 0
         assert from_covers([], []).size == 0
 
-    def test_size_cap(self, monkeypatch):
-        monkeypatch.setenv("INCCAT_MAX_POSET_SIZE", "3")
-        with pytest.raises(SizeCapError):
-            Poset(tuple(1 << i for i in range(4)))
+    def test_size_cap(self):
+        with pytest.raises(SizeCapError, match="cap 32"):
+            Poset(tuple(1 << i for i in range(33)))
+        assert Poset(tuple(1 << i for i in range(32))).size == 32
 
     def test_invalid_relations_rejected(self):
         with pytest.raises(PosetError):
@@ -625,6 +626,8 @@ MODE_ENTRIES = {
     "automorphisms": lambda p, mode: automorphisms(p, mode),
     "element_signatures": lambda p, mode: element_signatures(p, mode),
     "Bijection": lambda p, mode: Bijection(p, p, (0, 1), mode),
+    "Morphism": lambda p, mode: Morphism(CategoryObject(p), CategoryObject(p), 0, p.full_mask, (0, 1), mode),
+    "identity": lambda p, mode: identity(CategoryObject(p), mode),
 }
 
 
