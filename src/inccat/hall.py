@@ -26,8 +26,11 @@ P (+) Q is the sorted component keys of P and Q
 class's components, and the split table of a disconnected class is the
 convolution of its components' tables, since the ideals of P (+) Q are
 the pairs of ideals of P and Q.  A connected class walks its ideals and
-looks up each side with ``posets.subset_key``, which builds a subposet
-only when its key has not been computed yet.  The split tables count
+looks up both sides of all of them in one ``posets.split_keys`` call,
+which builds a subposet only when its key has not been computed yet.
+A class at the cutoff is walked once and is a component of no other
+class, so its ideals come from ``ideals.ideal_masks`` and its lattice is
+not stored.  The split tables count
 pairs of side keys, not classes, so no class is hashed per ideal;
 ``split_index`` turns each distinct key pair into classes once, and
 that is where every side is checked to be a member of the family.  The
@@ -46,14 +49,14 @@ from typing import Sequence
 from . import linalg
 from .errors import CoefficientError, FamilyError, IncCatError, TruncationError, VectorError
 from .families import FamilyContext, IsoClass
-from .ideals import order_ideals
+from .ideals import ideal_masks, order_ideals
 from .posets import (
     _union_of_sorted,
     component_keys,
     find_isomorphisms,
     induced_subposet,
     is_connected,
-    subset_key,
+    split_keys,
     union_key,
 )
 
@@ -229,14 +232,16 @@ def _split_counts(ctx: FamilyContext, r_cls: IsoClass) -> dict:
 
 
 def _ideal_splits(ctx: FamilyContext, r_cls: IsoClass) -> dict:
-    """The split table of R by its ideals, each side the key of its subposet."""
-    rep, mode = r_cls.representative, ctx.mode
-    full = rep.full_mask
-    counts: dict[tuple[bytes, bytes], int] = {}
-    for ideal in order_ideals(rep).ideals:
-        pair = (subset_key(rep, ideal, mode), subset_key(rep, full ^ ideal, mode))
-        counts[pair] = counts.get(pair, 0) + 1
-    return counts
+    """The split table of R by its ideals, each side the key of its subposet.
+
+    A class at the cutoff is walked once, as a component of no other
+    class (see :func:`_split_counts`), so its ideals are enumerated
+    unsorted and its lattice is not stored; a smaller class reads its
+    lattice, which generation has already stored.
+    """
+    rep = r_cls.representative
+    masks = ideal_masks(rep) if r_cls.size == ctx.max_size else order_ideals(rep).ideals
+    return Counter(split_keys(rep, masks, ctx.mode))
 
 
 def _convolved_splits(ctx: FamilyContext, parts: tuple[bytes, ...]) -> dict:

@@ -3,8 +3,10 @@
 Every poset P has a lattice of downward-closed subsets with join = union
 and meet = intersection.  Ideals are enumerated as down-closures of the
 antichains of maximal elements (a bijection, so the enumeration is linear
-in the output and never touches all 2^n subsets), listed in a fixed order
-(popcount, then numeric mask value) and cached per order relation.
+in the output and never touches all 2^n subsets).  :func:`ideal_masks`
+lists them in search order and stores nothing; :func:`order_ideals`
+sorts them (popcount, then numeric mask value) and caches the lattice
+per order relation.
 
 Two structural correspondences from this module power everything
 downstream: the interval [I, L] in J_P is the ideal lattice of the convex
@@ -18,14 +20,13 @@ from functools import cached_property
 from typing import Iterable
 
 from . import memo
-from .errors import NotAnIdealError, PosetError
-from .posets import Poset, bits, disjoint_union, induced_subposet
+from .errors import NotAnIdealError
+from .posets import Poset, bits, check_mask, disjoint_union, induced_subposet
 
 
 def is_order_ideal(p: Poset, mask: int) -> bool:
     """True iff the subset is downward closed in P."""
-    if mask & ~p.full_mask:
-        raise PosetError("subset references elements out of range")
+    check_mask(p, mask)
     return all(not (p.downs[i] & ~mask) for i in bits(mask))
 
 
@@ -33,8 +34,7 @@ def smallest_ideal_containing(p: Poset, parts: Iterable[int]) -> int:
     """Down-closure of the union of the given subsets."""
     union = 0
     for part in parts:
-        if part & ~p.full_mask:
-            raise PosetError("subset references elements out of range")
+        check_mask(p, part)
         union |= part
     return p.down_closure(union)
 
@@ -45,7 +45,8 @@ class IdealLattice:
 
     ``ideals`` is the complete tuple of ideal masks sorted by (popcount,
     mask value); ``index`` maps each mask back to its position, built on
-    the first membership query.
+    the first membership query.  Only an int that is not a bool is a
+    member: ``True`` and ``1.0`` hash and compare as 1, but are no masks.
     """
 
     ideals: tuple[int, ...]
@@ -57,15 +58,16 @@ class IdealLattice:
     def __len__(self) -> int:
         return len(self.ideals)
 
-    def __contains__(self, mask: int) -> bool:
-        return mask in self.index
+    def __contains__(self, mask: object) -> bool:
+        return isinstance(mask, int) and not isinstance(mask, bool) and mask in self.index
 
     def __iter__(self):
         return iter(self.ideals)
 
     def require_member(self, mask: int) -> None:
-        if mask not in self.index:
-            raise NotAnIdealError(f"{mask:#x} is not an order ideal of the base poset")
+        if mask not in self:
+            shown = hex(mask) if type(mask) is int else repr(mask)
+            raise NotAnIdealError(f"{shown} is not an order ideal of the base poset")
 
     def join(self, i1: int, i2: int) -> int:
         self.require_member(i1)
@@ -81,15 +83,14 @@ class IdealLattice:
 _lattices: dict[tuple[int, ...], IdealLattice] = memo.process_table("ideal_lattices")
 
 
-def order_ideals(p: Poset) -> IdealLattice:
-    """Enumerate J_P (cached per order relation).
+def ideal_masks(p: Poset) -> list[int]:
+    """Every ideal of P once, in the order of the search; nothing is stored.
 
     Each ideal is the down-closure of a unique antichain (its maximal
     elements), so a DFS over antichains yields every ideal exactly once.
+    For a walk that reads each ideal once in any order; one that needs
+    the sorted lattice, or reads it again, calls :func:`order_ideals`.
     """
-    hit = _lattices.get(p.leq)
-    if hit is not None:
-        return hit
     n = p.size
     downs = p.downs
     incomp = [~(p.leq[i] | downs[i]) for i in range(n)]
@@ -103,8 +104,19 @@ def order_ideals(p: Poset) -> IdealLattice:
                 grow(x + 1, closure | downs[x], allowed & incomp[x])
 
     grow(0, 0, p.full_mask)
-    ideals = tuple(sorted(found, key=lambda m: (m.bit_count(), m)))
-    lattice = IdealLattice(ideals)
+    return found
+
+
+def order_ideals(p: Poset) -> IdealLattice:
+    """J_P, its ideals sorted by (popcount, mask value); cached per order relation."""
+    hit = _lattices.get(p.leq)
+    if hit is not None:
+        return hit
+    found = ideal_masks(p)
+    # Two stable sorts: by value, then by popcount, give the (popcount, value) order.
+    found.sort()
+    found.sort(key=int.bit_count)
+    lattice = IdealLattice(tuple(found))
     _lattices[p.leq] = lattice
     return lattice
 
@@ -134,9 +146,9 @@ class IntervalCorrespondence:
         return tuple(k for k in lat.ideals if k & self.lower == self.lower and k | self.upper == self.upper)
 
     def to_quotient(self, k: int) -> int:
+        order_ideals(self.base).require_member(k)
         if k & self.lower != self.lower or k | self.upper != self.upper:
             raise NotAnIdealError("ideal is not inside the interval")
-        order_ideals(self.base).require_member(k)
         pos = {e: idx for idx, e in enumerate(self.elements)}
         out = 0
         for e in bits(k & ~self.lower):
@@ -144,8 +156,7 @@ class IntervalCorrespondence:
         return out
 
     def from_quotient(self, mask: int) -> int:
-        if mask & ~self.quotient.full_mask:
-            raise PosetError("subset references elements out of range")
+        check_mask(self.quotient, mask)
         order_ideals(self.quotient).require_member(mask)
         out = self.lower
         for idx in bits(mask):

@@ -13,7 +13,10 @@ stores an equal value, so a race can only repeat work.
   (tag, leq, color keys) as ``canonical_keys``.  A separate table, so
   the isomorphism search, an oracle for the keys, reads no key.
 * ``ideal_lattices`` (``ideals``): J_P by ``leq``; it depends on the
-  order alone, so relabelled and recoloured copies share an entry.
+  order alone, so relabelled and recoloured copies share an entry.  A
+  split walk does not store the lattice of a class at its context's
+  cutoff: it reads that class's ideals once, through
+  ``ideals.ideal_masks``.
 * ``hom_sets`` (``category``): hom sets by (source, target, mode); the
   objects carry their labels, so the key is the whole object.
 

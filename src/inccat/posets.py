@@ -15,11 +15,14 @@ is a tag: 0 or 1 (all or color-preserving isomorphisms) for a connected
 poset, 2 or 3 for a disconnected one.  A disconnected key lists the
 sorted keys of its connected components, mirroring the disjoint union;
 :func:`component_keys` and :func:`union_key` parse and join that
-layout, and :func:`subset_key` reads the key of a subposet from the
-memo, building the subposet only on a miss.  Both it and
-:func:`induced_subposet` restrict the relation rows through
+layout, and :func:`split_keys` reads the keys of both sides of a batch
+of splits from the memo, building a subposet only on a miss.
+:func:`induced_subposet` restricts the relation rows through
 :func:`_restricted_rows`, which packs each row a byte at a time through
-256-entry tables, one per byte value of the mask, built on first use.
+256-entry tables, one per byte value of the mask, built on first use;
+:func:`split_keys` reads a side below 256 through its table inline.
+A subset mask is checked by :func:`check_mask` where it enters: it must
+be an int, not a bool, with no bit outside the poset.
 A connected key holds the lexicographically least serialized relation
 matrix over permutations that respect an invariant-based pre-partition
 of the elements, found by a branch-and-bound search.  The search prunes
@@ -343,6 +346,19 @@ def cartesian_product(p: Poset, q: Poset) -> Poset:
     return Poset(tuple(leq), tuple(labels), tuple(colors))
 
 
+def check_mask(p: Poset, mask: object) -> None:
+    """Raise :class:`PosetError` unless ``mask`` is a subset mask of ``p``.
+
+    A mask is an int with no bit outside the poset.  A bool is refused
+    though it is an int, and so is a float, which would hash and compare
+    as the int it equals; a negative int has bits outside every poset.
+    """
+    if not isinstance(mask, int) or isinstance(mask, bool):
+        raise PosetError(f"a subset mask must be an int, got {type(mask).__name__} {mask!r}")
+    if mask >> len(p.leq):
+        raise PosetError("subset references elements out of range")
+
+
 def induced_subposet(p: Poset, mask: int) -> tuple[Poset, tuple[int, ...]]:
     """Restriction of order and colors to ``mask``.
 
@@ -350,8 +366,7 @@ def induced_subposet(p: Poset, mask: int) -> tuple[Poset, tuple[int, ...]]:
     original index of the new element k (new indices follow the ascending
     order of the original ones).
     """
-    if mask & ~p.full_mask:
-        raise PosetError("subset references elements out of range")
+    check_mask(p, mask)
     rows, elements = _restricted_rows(p.leq, mask)
     labels, colors = p.labels, p.colors
     labels = tuple([labels[e] for e in elements])
@@ -416,8 +431,7 @@ def _restricted_rows(leq: tuple[int, ...], mask: int) -> tuple[tuple[int, ...], 
 
 def is_convex(p: Poset, mask: int) -> bool:
     """True iff x <= z <= y with x,y in the set forces z in the set."""
-    if mask & ~p.full_mask:
-        raise PosetError("subset references elements out of range")
+    check_mask(p, mask)
     for x in bits(mask):
         above = p.leq[x] & ~mask
         for z in bits(above):
@@ -706,30 +720,52 @@ def _component_key(p: Poset, mask: int, mode: MapMode, tag: int) -> bytes:
     return hit
 
 
-def subset_key(p: Poset, mask: int, mode: MapMode = MapMode.ALL_POSET_ISOS) -> bytes:
-    """``canonical_form(induced_subposet(p, mask)[0], mode)``, built only on a miss.
+def split_keys(
+    p: Poset, masks: Iterable[int], mode: MapMode = MapMode.ALL_POSET_ISOS
+) -> list[tuple[bytes, bytes]]:
+    """The keys of both sides of each split of ``p``, built only on a miss.
 
-    Restricts the relation rows (and the colors, in color-preserving
-    mode) and looks them up under the memo key of :func:`canonical_form`;
-    only on a miss is the subposet built and its key computed there, so
-    there is still one way to compute a key.
+    Entry k is ``(canonical_form(p|m, mode), canonical_form(p|full^m,
+    mode))`` for the k-th mask m, where p|m is ``induced_subposet(p,
+    m)[0]``.  The mode, the colors, the all-zero color tuple of each size
+    and the memo's lookup are read once per call, not once per side.
+    Each side's relation rows are restricted (a side below 256 through
+    its byte table inline, a wider one by :func:`_restricted_rows`) and
+    looked up, with its colors, under the memo key of
+    :func:`canonical_form`.  Only on a miss is the subposet built and its
+    key computed there, so there is still one way to compute a key.  A
+    mask that :func:`check_mask` refuses raises :class:`PosetError`.
     """
-    if mask >> len(p.leq):
-        raise PosetError("subset references elements out of range")
-    if not mask:
-        return b""
-    rows, elements = _restricted_rows(p.leq, mask)
     if mode is MapMode.ALL_POSET_ISOS:
-        memo_key = (0, rows, (0,) * len(rows))
+        tag = 0
     elif mode is MapMode.COLOR_PRESERVING_ISOS:
-        p_colors = p.colors
-        memo_key = (1, rows, tuple([p_colors[e] for e in elements]))
+        tag = 1
     else:
         raise _bad_mode(mode)
-    hit = _canonical_keys.get(memo_key)
-    if hit is not None:
-        return hit
-    return canonical_form(induced_subposet(p, mask)[0], mode)
+    leq, colors = p.leq, p.colors
+    n = len(leq)
+    full = (1 << n) - 1
+    zeros = [(0,) * k for k in range(n + 1)]
+    get = _canonical_keys.get
+    tables = _BYTE_TABLES
+    keys: list[bytes] = []
+    for mask in masks:
+        if type(mask) is not int or mask >> n:
+            check_mask(p, mask)  # raises unless mask is an int subclass in range
+        for side in (mask, full ^ mask):
+            if not side:
+                keys.append(b"")
+                continue
+            if side < 256:
+                packed, elements = tables[side] or _byte_table(side)
+                rows = tuple([packed[leq[e] & 255] for e in elements])
+            else:
+                rows, elements = _restricted_rows(leq, side)
+            key = get((tag, rows, tuple([colors[e] for e in elements]) if tag else zeros[len(rows)]))
+            if key is None:
+                key = canonical_form(induced_subposet(p, side)[0], mode)
+            keys.append(key)
+    return list(zip(keys[::2], keys[1::2]))
 
 
 def component_keys(key: bytes) -> tuple[bytes, ...]:

@@ -105,7 +105,7 @@ from .posets import (
     induced_subposet,
     is_connected,
     relabel_by,
-    subset_key,
+    split_keys,
 )
 
 
@@ -525,10 +525,8 @@ def check_ses_classification(ctx: FamilyContext, max_size: int) -> CheckResult:
     checked = 0
     for b in objects:
         p = b.poset
-        sides = {
-            i: (subset_key(p, i, ctx.mode), subset_key(p, p.full_mask & ~i, ctx.mode))
-            for i in order_ideals(p).ideals
-        }
+        ideals = order_ideals(p).ideals
+        sides = dict(zip(ideals, split_keys(p, ideals, ctx.mode)))
         epis_to = [(c, canonical_form(c.poset, ctx.mode), epis(b, c, ctx.mode)) for c in objects]
         for a in objects:
             a_key = canonical_form(a.poset, ctx.mode)

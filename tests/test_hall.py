@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 
 from inccat.category import CategoryObject, short_exact_sequences
-from inccat import hall
+from inccat import hall, memo
 from inccat.errors import CoefficientError, FamilyError, IncCatError, TruncationError, VectorError
 from inccat.families import (
     colored_sets_up_to,
@@ -40,7 +40,7 @@ from inccat.hall import (
 )
 from inccat.linalg import smith_diagonal
 from inccat.ideals import order_ideals
-from inccat.posets import connected_components, induced_subposet, is_connected, relabel_by
+from inccat.posets import canonical_form, connected_components, induced_subposet, is_connected, relabel_by
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -92,6 +92,22 @@ def ideal_walk_split_index(ctx, total):
         for pair, n in counts.items():
             index.setdefault(pair, []).append((r_cls, n))
     return {pair: tuple(entries) for pair, entries in index.items()}
+
+
+def per_ideal_split_counts(ctx, r_cls):
+    """Oracle for ``_split_counts``: key both sides of every ideal from a built subposet.
+
+    No convolution over components, no side lookup by restricted rows
+    and no unsorted walk: each ideal of the sorted lattice builds both
+    sides and keys them in ``canonical_form``.
+    """
+    rep = r_cls.representative
+    counts = Counter()
+    for ideal in order_ideals(rep).ideals:
+        sub, _ = induced_subposet(rep, ideal)
+        rest, _ = induced_subposet(rep, rep.full_mask & ~ideal)
+        counts[canonical_form(sub, ctx.mode), canonical_form(rest, ctx.mode)] += 1
+    return counts
 
 
 def subset_loop_coproduct(f, ctx):
@@ -311,6 +327,23 @@ class TestKeyLevelUnions:
         ctx = family_from_spec(spec, max_size)
         for total in range(max_size + 1):
             assert split_index(ctx, total) == ideal_walk_split_index(ctx, total)
+
+    # Each context walks its top size unsorted through ideal_masks and
+    # convolves its disconnected classes; the oracle does neither.
+    @pytest.mark.parametrize("spec, max_size", [("fin", 6), ("forests", 6), ("csets:2", 5), ("cforests:2", 4)])
+    def test_split_counts_match_per_ideal_reference(self, spec, max_size):
+        ctx = family_from_spec(spec, max_size)
+        for cls in ctx.all_classes():
+            assert hall._split_counts(ctx, cls) == per_ideal_split_counts(ctx, cls)
+
+    def test_split_walk_stores_no_lattice_at_the_cutoff(self, cold_memo):
+        ctx = fin_up_to(7)
+        for total in range(1, 8):
+            split_index(ctx, total)
+        below = [cls.representative.leq for size in range(7) for cls in ctx.classes(size)]
+        assert memo.stats()["ideal_lattices"] == len(below) == 406
+        lattices = memo.process_table("ideal_lattices")
+        assert all(leq in lattices for leq in below)
 
     # The chain is a component of the 2+2 chains, so the lookup of a
     # component's table fails; the antichain is a component of nothing,

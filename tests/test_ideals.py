@@ -2,9 +2,12 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import posets
-from inccat.errors import NotAnIdealError
+from inccat import memo
+from inccat.category import CategoryObject, Morphism, subquotient_correspondence
+from inccat.errors import IncCatError, NotAnIdealError
 from inccat.families import fin_up_to
 from inccat.ideals import (
+    ideal_masks,
     interval_to_quotient_lattice,
     is_order_ideal,
     lattice_ops,
@@ -12,7 +15,7 @@ from inccat.ideals import (
     smallest_ideal_containing,
     sum_decomposition,
 )
-from inccat.posets import EMPTY_POSET, canonical_form, from_covers
+from inccat.posets import EMPTY_POSET, canonical_form, from_covers, induced_subposet, is_convex, split_keys
 
 
 def filter_oracle(p):
@@ -62,6 +65,15 @@ class TestEnumeration:
     @given(posets(max_size=7))
     def test_oracle_random(self, p):
         assert list(order_ideals(p).ideals) == filter_oracle(p)
+
+    @settings(max_examples=100, deadline=None)
+    @given(posets(max_size=7))
+    def test_ideal_masks_oracle_random(self, p):
+        before = memo.stats()["ideal_lattices"]
+        found = ideal_masks(p)
+        assert memo.stats()["ideal_lattices"] == before
+        assert len(found) == len(set(found))
+        assert set(found) == set(filter_oracle(p))
 
 
 class TestSmallestIdeal:
@@ -222,3 +234,30 @@ class TestSumDecomposition:
         assert len(order_ideals(corr.union)) == len(order_ideals(p)) * len(
             order_ideals(q)
         )
+
+
+# Each call once took a bool or a float for the int it equals, or died
+# with a bare TypeError; a mask must be an int that is not a bool.
+BAD_MASK_CALLS = {
+    "Morphism": lambda p, bad: Morphism(CategoryObject(p), CategoryObject(p), bad, 1, (0,)),
+    "IdealLattice.join": lambda p, bad: order_ideals(p).join(bad, 0),
+    "IdealLattice.require_member": lambda p, bad: order_ideals(p).require_member(bad),
+    "interval_to_quotient_lattice": lambda p, bad: interval_to_quotient_lattice(p, 0, bad),
+    "IntervalCorrespondence.from_quotient": (
+        lambda p, bad: interval_to_quotient_lattice(p, 0, p.full_mask).from_quotient(bad)
+    ),
+    "subquotient_correspondence": lambda p, bad: subquotient_correspondence(CategoryObject(p), bad),
+    "induced_subposet": lambda p, bad: induced_subposet(p, bad),
+    "is_convex": lambda p, bad: is_convex(p, bad),
+    "is_order_ideal": lambda p, bad: is_order_ideal(p, bad),
+    "smallest_ideal_containing": lambda p, bad: smallest_ideal_containing(p, [bad]),
+    "split_keys": lambda p, bad: split_keys(p, [bad]),
+}
+
+
+@pytest.mark.parametrize("call", sorted(BAD_MASK_CALLS))
+@pytest.mark.parametrize("bad", [True, 1.0, None, "1"], ids=repr)
+def test_mask_of_the_wrong_type_raises_a_typed_error(chain2, call, bad):
+    assert bad not in order_ideals(chain2)
+    with pytest.raises(IncCatError):
+        BAD_MASK_CALLS[call](chain2, bad)

@@ -32,13 +32,13 @@ KEY_SEARCH = {
     "_signature_ranks",
     "_connected_key",
     "canonical_form",
-    "subset_key",
+    "split_keys",
     "split_index",
     "class_of",
     "_canonical_keys",
 }
 # The Hall product and coproduct through the split tables.
-HALL_FAST_PATH = {"split_index", "subset_key", "_split_counts", "_class_of_key", "product", "coproduct"}
+HALL_FAST_PATH = {"split_index", "split_keys", "_split_counts", "_class_of_key", "product", "coproduct"}
 # Each route: the names it must not reach, and the fast routes it calls
 # by design, whose reach it may share.
 ORACLE_ROUTES = {
@@ -51,13 +51,14 @@ ORACLE_ROUTES = {
     "schmitt_product_ideal_form": (HALL_FAST_PATH, ("class_of",)),
     "schmitt_coproduct": (HALL_FAST_PATH, ("class_of",)),
 }
-FAST_ROUTES = ["canonical_form", "subset_key", "split_index", "class_of", "product", "coproduct"]
+FAST_ROUTES = ["canonical_form", "split_keys", "split_index", "class_of", "product", "coproduct"]
 
 # Shared primitives, each with the test that is its own oracle.  A fault
 # in one would move a fast path and its oracle together, so each needs a
 # check of its own.
 SHARED_PRIMITIVES = {
     "ideals.order_ideals": "tests/test_ideals.py::TestEnumeration::test_oracle_random",
+    "ideals.ideal_masks": "tests/test_ideals.py::TestEnumeration::test_ideal_masks_oracle_random",
     "posets.induced_subposet": "tests/test_posets.py::TestDerivedPosets::test_derivations_pass_the_full_checks",
     "posets._derived_poset": "tests/test_posets.py::TestDerivedPosets::test_derivations_pass_the_full_checks",
     "posets._restricted_rows": "tests/test_posets.py::TestRestriction::test_masks_of_every_width_up_to_32_elements",
@@ -73,6 +74,7 @@ POSET_BASICS = {
     "posets.Poset.full_mask",
     "posets._check_cap",
     "posets._check_tuple_of",
+    "posets.check_mask",
     "posets.bits",
     "posets._bad_mode",
     "posets._mode_tag",
@@ -179,17 +181,17 @@ def test_find_isomorphisms_reading_canonical_keys_is_caught():
     assert violations(sources)["find_isomorphisms"][0] == ["_canonical_keys"]
 
 
-def test_structure_constant_calling_subset_key_is_caught():
+def test_structure_constant_calling_split_keys_is_caught():
     sources = mutated(
         package_sources(),
         "hall",
         "        sub, _ = induced_subposet(rep, ideal)\n",
-        "        if subset_key(rep, ideal, mode) != p_cls.key:\n"
+        "        if split_keys(rep, [ideal], mode)[0][0] != p_cls.key:\n"
         "            continue\n"
         "        sub, _ = induced_subposet(rep, ideal)\n",
     )
     forbidden, _ = violations(sources)["structure_constant"]
-    assert "subset_key" in forbidden and "canonical_form" in forbidden
+    assert "split_keys" in forbidden and "canonical_form" in forbidden
 
 
 def test_schmitt_coproduct_calling_hall_coproduct_is_caught():

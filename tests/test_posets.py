@@ -36,7 +36,7 @@ from inccat.posets import (
     is_convex,
     is_convex_via_ideals,
     relabel_by,
-    subset_key,
+    split_keys,
     union_key,
 )
 
@@ -620,7 +620,7 @@ class TestCanonicalForm:
 MODE_ENTRIES = {
     "canonical_form": lambda p, mode: canonical_form(p, mode),
     "canonical_form of the empty poset": lambda p, mode: canonical_form(EMPTY_POSET, mode),
-    "subset_key": lambda p, mode: subset_key(p, p.full_mask, mode),
+    "split_keys": lambda p, mode: split_keys(p, [p.full_mask], mode),
     "find_isomorphisms": lambda p, mode: find_isomorphisms(p, p, mode),
     "find_isomorphisms, sizes differ": lambda p, mode: find_isomorphisms(p, ANTI3, mode),
     "automorphisms": lambda p, mode: automorphisms(p, mode),
@@ -730,13 +730,24 @@ class TestCanonicalKeyLayout:
     @example(9, random.Random(1), ALL)
     @example(17, random.Random(2), COLOR)
     @example(26, random.Random(3), ALL)
-    def test_subset_key_is_key_of_induced_subposet(self, n, rng, mode):
+    def test_split_keys_are_keys_of_induced_subposets(self, n, rng, mode):
         p = random_poset(n, rng, num_colors=2)
-        mask = rng.getrandbits(n)
+        full = p.full_mask
+        # Singletons share their rows and differ in color, so a lookup
+        # that dropped the colors would return a wrong key.
+        masks = [0, full] + [1 << i for i in range(n)] + [rng.getrandbits(n) for _ in range(4)]
         with cleared_memo():
-            cold = subset_key(p, mask, mode)  # a miss: builds the subposet
-            warm = subset_key(p, mask, mode)  # a hit: rows and colors only
-        assert cold == warm == canonical_form(induced_subposet(p, mask)[0], mode)
+            cold = split_keys(p, masks, mode)  # misses: builds the subposets
+            # Every side is now keyed, so a warm call must find each one by
+            # its restricted rows and colors, without building it.
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(posets_module, "canonical_form", None)
+                warm = split_keys(p, masks, mode)
+        expected = [
+            tuple(canonical_form(induced_subposet(p, side)[0], mode) for side in (mask, full ^ mask))
+            for mask in masks
+        ]
+        assert cold == warm == expected
 
     def test_component_misses_do_not_look_for_components_again(self, monkeypatch):
         p = copies("N", 3, rooted=False)
@@ -753,9 +764,10 @@ class TestCanonicalKeyLayout:
         assert calls == [p.size]
         assert key == union_key([canonical_form(copies("N", 1, rooted=False))] * 3)
 
-    def test_subset_key_rejects_elements_out_of_range(self):
-        with pytest.raises(PosetError):
-            subset_key(CHAIN2, 0b100)
+    def test_split_keys_rejects_elements_out_of_range(self):
+        for mask in (0b100, -1):
+            with pytest.raises(PosetError, match="out of range"):
+                split_keys(CHAIN2, [0b01, mask])
 
     @pytest.mark.parametrize("mode", [ALL, COLOR])
     def test_signature_ranks_match_nested_signatures_exhaustively(self, mode):
