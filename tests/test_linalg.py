@@ -55,6 +55,19 @@ def integer_matrices(draw):
     return [[draw(entry) for _ in range(n)] for _ in range(m)]
 
 
+@st.composite
+def sparse_matrices(draw):
+    """Up to 30 x 30, 0-4 entries a row from +-1, +-2 and 3: the pivot order matters."""
+    m, n = draw(st.integers(1, 30)), draw(st.integers(1, 30))
+    rows = []
+    for _ in range(m):
+        row = [0] * n
+        for j in draw(st.lists(st.integers(0, n - 1), max_size=4, unique=True)):
+            row[j] = draw(st.sampled_from([1, -1, 2, -2, 3]))
+        rows.append(row)
+    return rows
+
+
 class TestAgainstSympy:
     @settings(max_examples=300, deadline=None)
     @given(integer_matrices())
@@ -67,7 +80,15 @@ class TestAgainstSympy:
     @example([[2, 3]])  # residual only, factor 1
     @example([[1, 2, 0], [0, 4, 6], [3, 0, 9]])  # unit pivot, then a residual
     @example([[-1, 2], [3, 4], [5, -1]])  # negative unit pivots
+    @example([[2, 3], [1, 1]])  # row 0 gains a unit from row 1's pivot: a second sweep
+    @example([[1, 1, 0], [1, 0, 2], [0, 3, 2]])  # fill: row 1 gains column 1, held by row 2
     def test_matches_sympy(self, rows):
+        assert smith_diagonal(sparse(rows)) == sympy_factors(rows)
+        assert rank_over_q(sparse(rows)) == sympy_rank(rows)
+
+    @settings(max_examples=100, deadline=None)
+    @given(sparse_matrices())
+    def test_sparse_matches_sympy(self, rows):
         assert smith_diagonal(sparse(rows)) == sympy_factors(rows)
         assert rank_over_q(sparse(rows)) == sympy_rank(rows)
 
@@ -105,8 +126,28 @@ def test_k0_relation_matrices_exhaustive(spec):
             assert smith_diagonal(entries) == sympy_factors(distinct), (spec, cutoff)
 
 
-def test_import_does_not_load_sympy():
+def run_without_sympy(code):
+    """Run ``code`` in a fresh interpreter; True if it exits 0 without loading sympy."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    code = "import inccat.cli, sys; sys.exit('sympy' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    code += "; sys.exit(1 if 'sympy' in sys.modules else 0)"
+    return subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def test_import_does_not_load_sympy():
+    assert run_without_sympy("import inccat.cli, sys")
+
+
+def test_sweeps_leave_no_residual():
+    """The sweeps find every unit pivot, so sympy never loads.
+
+    On fin up to 6's relations, and on [[2, 3], [1, 1]], whose first row
+    gains a unit only from the second row's pivot, in a second sweep.
+    """
+    code = (
+        "import sys; from inccat import fin_up_to, k0_truncated, linalg; "
+        "pres = k0_truncated(fin_up_to(6), 6); "
+        "linalg.smith_diagonal(pres.relations) == pres.smith_diagonal or sys.exit(2); "
+        "linalg.smith_diagonal([((0, 2), (1, 3)), ((0, 1), (1, 1))]) == (1, 1) or sys.exit(3)"
+    )
+    assert run_without_sympy(code)
