@@ -19,6 +19,21 @@ family's only definition: a poset within the cutoff is a member exactly
 when its canonical key is in the index, so classifying it is a
 dictionary lookup.
 
+Generation keys a candidate only when its key may be new; two kinds of
+candidate provably repeat a key already found and skip the search (see
+:func:`_generate`).  A candidate whose new element lies above a twin b
+of its parent but not above the twin a before it is the image, under
+the automorphism swapping a and b, of a candidate the parent has keyed,
+so it takes that key.  On the last level, a connected candidate q
+from a disconnected parent p is skipped when p has a maximal element x
+outside q's new down-set whose component stays connected without x:
+q - x is connected, its class came before p because connected keys sort
+first, and q was reached from it by adding x back.  That last step
+needs the family's ``extensions`` to list the strict down-set of every
+element that can be added as a new maximal one, as the built-ins do.
+Keys, representatives and class order are those of keying every
+candidate.
+
 A :class:`FamilyContext` is plain data (name, map mode, class index): a
 third-party family closed under disjoint unions and convex subposets
 can be plugged into every algebra operation by generating its classes
@@ -39,9 +54,14 @@ from .posets import (
     MapMode,
     Poset,
     _derived_poset,
+    _store_key,
+    _twin_classes,
+    bits,
     canonical_form,
+    connected_components,
     disjoint_union,
     induced_subposet,
+    is_connected,
     is_convex,
 )
 
@@ -110,6 +130,8 @@ class FamilyContext:
     memo: dict[str, dict] = field(default_factory=context_tables, init=False, repr=False)
 
     def classes(self, size: int) -> tuple[IsoClass, ...]:
+        if not isinstance(size, int) or isinstance(size, bool):
+            raise FamilyError(f"class size must be an int, got {type(size).__name__} {size!r}")
         if size < 0:
             raise FamilyError(f"class size must be nonnegative, got {size}")
         if size > self.max_size:
@@ -154,6 +176,38 @@ def _add_maximal_element(p: Poset, below: int, color: int) -> Poset:
     return _derived_poset(tuple(leq), p.labels + (str(n),), p.colors + (color,))
 
 
+def _twin_steps(p: Poset, colors: tuple[int, ...]) -> list[tuple[int, int]]:
+    """``(1 << a | 1 << b, 1 << b)`` for each twin b of ``p`` and its predecessor a.
+
+    Twins are the classes of :func:`posets._twin_classes` under ``colors``;
+    a is the member of b's class just before b.
+    """
+    last: dict[int, int] = {}
+    steps = []
+    for b, first in enumerate(_twin_classes(p, colors)):
+        if first != b:
+            steps.append((1 << last[first] | 1 << b, 1 << b))
+        last[first] = b
+    return steps
+
+
+def _spare_maxima(p: Poset) -> tuple[list[int], int]:
+    """The components of a disconnected ``p``, and its maximal elements x
+    whose component stays connected without x, as a mask.
+
+    A connected ``p`` has no spare maxima: ``([], 0)``.
+    """
+    components = connected_components(p)
+    if len(components) < 2:
+        return [], 0
+    spare = 0
+    for comp in components:
+        for x in bits(comp):
+            if p.leq[x] == 1 << x and is_connected(induced_subposet(p, comp & ~(1 << x))[0]):
+                spare |= 1 << x
+    return components, spare
+
+
 def _generate(
     max_size: int,
     mode: MapMode,
@@ -165,20 +219,60 @@ def _generate(
     ``extensions(p)`` lists the allowed strict down-sets for a new maximal
     element.  Every poset on n+1 elements in a family arises from deleting
     a maximal element, so feeding back each size level generates all
-    classes; colored families try every color for the new element.
+    classes; colored families try every color for the new element.  The
+    first candidate of each key is its class's representative, and the
+    parents of a level are taken in key order.
+
+    Two kinds of candidate repeat a key already in ``seen`` and skip the
+    key search; neither moves a key, a representative or the class order:
+
+    * Twin transport, at every level.  Swapping twins a < b of the parent
+      (equal colors in ``mode``, equal strict up- and down-sets) is an
+      automorphism, so a ``below`` that holds b but not a gives a poset
+      isomorphic to the one from ``below ^ (1 << a | 1 << b)``.  When this
+      parent has keyed that down-set already, as the sorted lists of the
+      built-in families ensure, each color's candidate takes the key of
+      that color's twin candidate, and the key is stored in the
+      ``canonical_keys`` memo under the candidate, so later lookups of
+      its relation rows hit as they would after a search.
+    * Connected-parent precedence, on the last level.  Let p be
+      disconnected and ``below`` meet every component of p, so the
+      candidate q is connected.  If a maximal x of p is not in ``below``
+      and its component stays connected without x, then q - x is
+      connected.  Connected keys sort before disconnected ones, so the
+      class of q - x was a parent before p, and q arose from it by adding
+      x back, provided ``extensions`` lists the strict down-set of every
+      element that can be added as a new maximal one: q's key is in
+      ``seen``.  Applied below the last level, the skip would leave
+      memo entries unstored that later split walks read.
     """
-    if max_size < 0:
-        raise FamilyError(f"max size must be nonnegative, got {max_size}")
+    colored = mode is MapMode.COLOR_PRESERVING_ISOS
     levels: list[list[tuple[bytes, Poset]]] = [[(canonical_form(EMPTY_POSET, mode), EMPTY_POSET)]]
-    for _ in range(max_size):
+    for size in range(max_size):
+        last = size == max_size - 1
         seen: dict[bytes, Poset] = {}
         for _, p in levels[-1]:
+            steps = _twin_steps(p, p.colors if colored else (0,) * p.size)
+            components, spare = _spare_maxima(p) if last else ([], 0)
+            keyed: dict[int, list[bytes]] = {}  # the keys of this parent's candidates, by color
             for below in extensions(p):
-                for color in range(num_colors):
-                    q = _add_maximal_element(p, below, color)
-                    key = canonical_form(q, mode)
-                    if key not in seen:
-                        seen[key] = q
+                if spare & ~below and all(below & comp for comp in components):
+                    continue
+                # The twin candidate's down-set: b swapped for the a before it.
+                twin = next((below ^ pair for pair, b in steps if below & pair == b), None)
+                keys = keyed.get(twin)
+                if keys is not None:
+                    for color, key in enumerate(keys):
+                        _store_key(_add_maximal_element(p, below, color), mode, key)
+                else:
+                    keys = []
+                    for color in range(num_colors):
+                        q = _add_maximal_element(p, below, color)
+                        key = canonical_form(q, mode)
+                        keys.append(key)
+                        if key not in seen:
+                            seen[key] = q
+                keyed[below] = keys
         levels.append(sorted(seen.items()))
     return levels
 
@@ -193,12 +287,20 @@ def _family(
 ) -> FamilyContext:
     """Generate the classes, dualise them if ``dual``, and index them.
 
-    The requested size and color count are checked here, once, against
-    the poset size cap and the 256 colors a poset allows: generation
-    builds its posets without re-validation.
+    The requested size and color count are checked here, once: each must
+    be an int (a bool is refused), the size between 0 and the poset size
+    cap and the count between 1 and the 256 colors a poset allows.
+    Generation builds its posets without re-validation.
     """
+    for what, value in (("max size", max_size), ("color count", num_colors)):
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise FamilyError(f"{what} must be an int, got {type(value).__name__} {value!r}")
+    if max_size < 0:
+        raise FamilyError(f"max size must be nonnegative, got {max_size}")
     if max_size > SIZE_CAP:
         raise SizeCapError(f"max size {max_size} exceeds the poset size cap {SIZE_CAP}")
+    if num_colors < 1:
+        raise FamilyError("need at least one color")
     if num_colors > 256:
         raise FamilyError(f"at most 256 colors are supported, got {num_colors}")
     levels = _generate(max_size, mode, num_colors, extensions)
@@ -237,8 +339,6 @@ def sets_up_to(n: int) -> FamilyContext:
 
 def colored_sets_up_to(n: int, k: int) -> FamilyContext:
     """k-colored sets; classes are color-count vectors, maps preserve colors."""
-    if k < 1:
-        raise FamilyError("need at least one color")
     return _family(f"csets:{k}", MapMode.COLOR_PRESERVING_ISOS, k, n, lambda p: [0])
 
 
@@ -261,8 +361,6 @@ def forests_up_to(n: int, root_max: bool = False) -> FamilyContext:
 
 def colored_forests_up_to(n: int, k: int, root_max: bool = False) -> FamilyContext:
     """k-colored rooted forests with color-preserving isomorphisms."""
-    if k < 1:
-        raise FamilyError("need at least one color")
     return _family(
         f"cforests:{k}:root-max" if root_max else f"cforests:{k}",
         MapMode.COLOR_PRESERVING_ISOS,

@@ -8,6 +8,9 @@ stores an equal value, so a race can only repeat work.
 * ``canonical_keys`` (``posets``): canonical key bytes by (tag, leq,
   color keys), everything the key depends on and nothing more.  The tag
   (0 or 1, as in the key) stands for the mode because it hashes in C.
+  Generation also stores, unsearched, the key of each candidate that an
+  automorphism of its parent maps onto one already keyed
+  (``posets._store_key``).
 * ``iso_signatures`` (``posets``): the element signatures that prune
   ``find_isomorphisms``, with their sorted multiset, by the same
   (tag, leq, color keys) as ``canonical_keys``.  A separate table, so

@@ -705,6 +705,17 @@ def canonical_form(p: Poset, mode: MapMode = MapMode.ALL_POSET_ISOS) -> bytes:
     return key
 
 
+def _store_key(p: Poset, mode: MapMode, key: bytes) -> None:
+    """Store ``key`` as the canonical key of ``p`` in the memo, without a search.
+
+    The caller knows ``key`` from a poset isomorphic to ``p`` in ``mode``;
+    a later :func:`canonical_form` or :func:`split_keys` lookup of ``p``
+    then hits as it would after a search.
+    """
+    tag = _mode_tag(mode)
+    _canonical_keys[(tag, p.leq, p.colors if tag else (0,) * p.size)] = key
+
+
 def _component_key(p: Poset, mask: int, mode: MapMode, tag: int) -> bytes:
     """The key of the connected subposet on ``mask``, from the memo or the search.
 

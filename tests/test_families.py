@@ -1,9 +1,13 @@
 from itertools import product as iproduct
 
 import pytest
+from conftest import cleared_memo
 
+from inccat import memo
 from inccat.errors import FamilyError, SizeCapError, TruncationError
 from inccat.families import (
+    _add_maximal_element,
+    _forest_extensions,
     colored_forests_up_to,
     colored_sets_up_to,
     family_from_spec,
@@ -14,6 +18,7 @@ from inccat.families import (
 )
 from inccat.ideals import order_ideals
 from inccat.posets import (
+    EMPTY_POSET,
     MapMode,
     Poset,
     canonical_form,
@@ -103,6 +108,19 @@ class TestFin:
             fin_up_to(-1)
         with pytest.raises(FamilyError):
             forests_up_to(-1, root_max=True)
+
+    @pytest.mark.parametrize("bad", [True, False, 2.5, 1.0, "3", None])
+    def test_non_int_sizes_rejected(self, bad):
+        with pytest.raises(FamilyError, match="max size must be an int"):
+            fin_up_to(bad)
+        with pytest.raises(FamilyError, match="class size must be an int"):
+            fin_up_to(2).classes(bad)
+
+    @pytest.mark.parametrize("bad", [True, 2.0, "2", None])
+    def test_non_int_color_counts_rejected(self, bad):
+        for build in (colored_sets_up_to, colored_forests_up_to):
+            with pytest.raises(FamilyError, match="color count must be an int"):
+                build(3, bad)
 
 
 class TestSets:
@@ -370,3 +388,77 @@ class TestFamilySpec:
         first = [cls.hex_key for s in range(5) for cls in fin_up_to(4).classes(s)]
         second = [cls.hex_key for s in range(5) for cls in fin_up_to(4).classes(s)]
         assert first == second
+
+
+def _plain_levels(max_size, mode, num_colors, extensions):
+    """Test-only oracle: the one-point extension loop that keys every candidate.
+
+    It skips no candidate, so the skips of the library's generator must
+    leave the same first candidate of each key, in the same order.
+    """
+    levels = [[(canonical_form(EMPTY_POSET, mode), EMPTY_POSET)]]
+    for _ in range(max_size):
+        seen = {}
+        for _, p in levels[-1]:
+            for below in extensions(p):
+                for color in range(num_colors):
+                    q = _add_maximal_element(p, below, color)
+                    seen.setdefault(canonical_form(q, mode), q)
+        levels.append(sorted(seen.items()))
+    return levels
+
+
+def _all_ideals(p):
+    return list(order_ideals(p).ideals)
+
+
+ALL, COLORED = MapMode.ALL_POSET_ISOS, MapMode.COLOR_PRESERVING_ISOS
+# (build, oracle arguments, dualise the oracle's levels)
+SKIP_CASES = {
+    "fin:7": (lambda: fin_up_to(7), (7, ALL, 1, _all_ideals), False),
+    "forests:8": (lambda: forests_up_to(8), (8, ALL, 1, _forest_extensions), False),
+    "forests:root-max:7": (lambda: forests_up_to(7, root_max=True), (7, ALL, 1, _forest_extensions), True),
+    "csets:2:6": (lambda: colored_sets_up_to(6, 2), (6, COLORED, 2, lambda p: [0]), False),
+    "cforests:2:5": (lambda: colored_forests_up_to(5, 2), (5, COLORED, 2, _forest_extensions), False),
+}
+
+
+class TestGenerationSkips:
+    """Twin transport and connected-parent precedence against the unskipped loop.
+
+    Both the generator and the oracle run on a cleared memo, so neither
+    reads a key the other stored.
+    """
+
+    @pytest.mark.parametrize("case", list(SKIP_CASES))
+    def test_levels_match_the_unskipped_loop(self, case):
+        build, args, dual = SKIP_CASES[case]
+        mode = args[1]
+        with cleared_memo():
+            ctx = build()
+            memo.clear()
+            levels = _plain_levels(*args)
+            if dual:
+                levels = [
+                    sorted((canonical_form(d, mode), d) for d in (p.dual() for _, p in level))
+                    for level in levels
+                ]
+        assert [[cls.key for cls in group] for group in ctx.classes_by_size] == [
+            [key for key, _ in level] for level in levels
+        ]
+        for group, level in zip(ctx.classes_by_size, levels):
+            for cls, (_, rep) in zip(group, level):
+                got = cls.representative
+                assert (got.leq, got.labels, got.colors) == (rep.leq, rep.labels, rep.colors)
+
+    @pytest.mark.parametrize("case", list(SKIP_CASES))
+    def test_stored_keys_match_fresh_keys(self, case):
+        build = SKIP_CASES[case][0]
+        table = memo.process_table("canonical_keys")
+        with cleared_memo():
+            build()
+            stored = dict(table)
+            memo.clear()
+            for (tag, leq, colors), key in stored.items():
+                p = Poset(leq, None, colors)
+                assert canonical_form(p, COLORED if tag else ALL) == key, (leq, colors)
