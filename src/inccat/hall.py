@@ -18,6 +18,9 @@ recursion over the reduced coproduct.  A family context supplies the
 classes of each degree; ``split_index`` inverts their ideal splits into
 an index from (sub, quotient) class pairs to the classes they assemble,
 read by ``product``, ``K0Presentation`` and ``inccat constants``.
+``K0Presentation`` keeps the index's tables as its relations and reads
+its Smith form off a certificate that it checks in one pass over them,
+so a valid presentation runs no elimination.
 Computations beyond the context's cutoff raise ``TruncationError``.
 
 Disjoint unions are handled at the level of canonical keys: the key of
@@ -465,41 +468,43 @@ class K0Presentation:
     [X_I] + [X_{P \\ I}] - [X_P] per ideal I of each representative, read
     off ``split_index`` (the degenerate ideals pin the empty class to zero);
     ``category.ses-classification`` verifies that these ideals match the
-    short exact sequences one to one.  They are kept as the index's counted
-    splits (sub, rest, whole) -> n, and ``relations`` builds rows on demand.
+    short exact sequences one to one.  They are kept as the index's own
+    per-degree tables of counted splits (sub, rest) -> ((whole, n), ...),
+    and ``relations`` builds rows from them on demand.
 
     The relation lattice is the kernel of the color-count map chi, which
     sends a generator to its ``IsoClass.color_vector``.  The certificate,
-    checked at construction:
+    checked at construction in one pass over the tables:
 
     1. A minimal element m of P is an order ideal, so the split
        [X_P] = [X_m] + [X_{P \\ m}] is a relation: every generator of size
        >= 2 has a relation whose sub is a single point.
     2. By induction on size, each generator is congruent to its color
-       vector times the point classes, and the empty class to zero.
+       vector times the point classes, and the empty class to zero, by the
+       split (empty, empty) -> empty.
     3. Every relation lies in ker chi, since I and P \\ I split the
-       elements of P color by color.
+       elements of P color by color: the color vectors of sub and rest add
+       up to that of the whole.
     4. chi sends the point classes to distinct unit vectors, so the
        quotient is free on the point classes and the relations span
        exactly ker chi.
 
-    So ``relations_contain`` reads chi alone.  The Smith normal form is
-    computed from the certificate's own rows (:func:`_smith_by_pivots`):
-    the first point split of each generator of size >= 2, and the row
-    [X_empty], are unit pivots on a triangular block, and every counted
-    split is reduced over the remaining columns.  When the
-    certificate holds, nothing is left, so ``linalg.smith_diagonal`` runs
-    on an empty residual and sympy is never imported; when it does not,
-    the residual gives the exact invariant factors.  The free rank must
-    come out as the number of point classes, with no torsion; a missing
-    certificate row or any other Smith form raises ``IncCatError``.
+    So ``relations_contain`` reads chi alone, and the Smith normal form is
+    the one the certificate fixes: a factor 1 for each generator that is
+    not a point class, no elimination needed.  A missing point split
+    raises ``IncCatError``.  When step 2's empty split or step 3 fails,
+    ``linalg.smith_diagonal`` on all of ``relations`` gives the exact
+    invariant factors for the ``IncCatError`` that is raised.
 
-    ``linalg.smith_diagonal`` on all of ``relations`` is the oracle for
-    this Smith form: ``tests/test_linalg.py`` compares the two on every
-    family at cutoffs 0-4, and the CI compares them on fin up to 7.
+    ``linalg.smith_diagonal`` on all of ``relations`` is also the oracle
+    for the certified Smith form: ``tests/test_linalg.py`` compares the
+    two on every family at cutoffs 0-4, and the CI compares them on fin
+    up to 7.
     """
 
     def __init__(self, ctx: FamilyContext, cutoff: int):
+        if not isinstance(cutoff, int) or isinstance(cutoff, bool):
+            raise FamilyError(f"cutoff must be an int, got {type(cutoff).__name__} {cutoff!r}")
         if cutoff < 0:
             raise FamilyError(f"cutoff must be nonnegative, got {cutoff}")
         self.family = ctx.name
@@ -507,48 +512,52 @@ class K0Presentation:
         self.generators: tuple[IsoClass, ...] = tuple(
             cls for size in range(cutoff + 1) for cls in ctx.classes(size)
         )
-        index = {cls.key: i for i, cls in enumerate(self.generators)}
-        splits: dict[tuple[int, int, int], int] = {}
-        # Generator index of each class of size >= 2 -> (point, rest) of
-        # its first split off a single point.
-        point_splits: dict[int, tuple[int, int]] = {}
-        for total in range(cutoff + 1):
-            for (p_cls, q_cls), entries in split_index(ctx, total).items():
-                p, q = index[p_cls.key], index[q_cls.key]
+        self._index = {cls.key: i for i, cls in enumerate(self.generators)}
+        self._tables = tuple(split_index(ctx, total) for total in range(cutoff + 1))
+        relation_count = 0
+        point_wholes: set[IsoClass] = set()
+        colors_add = True
+        for table in self._tables:
+            for (p_cls, q_cls), entries in table.items():
+                colors = tuple(map(operator.add, p_cls.color_vector, q_cls.color_vector))
                 for r_cls, n in entries:
-                    r = index[r_cls.key]
-                    splits[p, q, r] = n
-                    if p_cls.size == 1 and r_cls.size >= 2:
-                        point_splits.setdefault(r, (p, q))
-        self._splits = splits
-        self.relation_count: int = sum(splits.values())
-        self._index = index
-        for i, cls in enumerate(self.generators):
-            if cls.size >= 2 and i not in point_splits:
+                    relation_count += n
+                    if r_cls.color_vector != colors:
+                        colors_add = False
+                if p_cls.size == 1:
+                    point_wholes.update(r_cls for r_cls, _ in entries)
+        self.relation_count: int = relation_count
+        for cls in self.generators:
+            if cls.size >= 2 and cls not in point_wholes:
                 raise IncCatError(
                     f"class {cls.hex_key} of family {ctx.name!r} has no relation "
                     "splitting off a single point"
                 )
-        self.smith_diagonal: tuple[int, ...] = _smith_by_pivots(
-            len(self.generators), point_splits, splits
-        )
+        empty = self.generators[0]
+        pins_empty = any(r_cls == empty for r_cls, _ in self._tables[0].get((empty, empty), ()))
         points = sum(cls.size == 1 for cls in self.generators)
-        if self.free_rank != points or self.torsion:
+        if not (colors_add and pins_empty):
+            self.smith_diagonal: tuple[int, ...] = linalg.smith_diagonal(self.relations)
             raise IncCatError(
                 f"K0 of family {ctx.name!r} at cutoff {cutoff} has free rank {self.free_rank} "
                 f"and torsion {list(self.torsion)}; the color counts give free rank {points}"
             )
+        self.smith_diagonal = (1,) * (len(self.generators) - points)
         # One tuple per color: its count in each generator.
         self._color_counts = tuple(zip(*(cls.color_vector for cls in self.generators)))
 
     @property
     def relations(self) -> tuple[linalg.Entries, ...]:
         """n rows [sub] + [rest] - [whole], sparse and sorted, per split counted n times."""
+        index = self._index
         rows: list[linalg.Entries] = []
-        for (sub, rest, whole), n in self._splits.items():
-            row = Counter((sub, rest))
-            row[whole] -= 1
-            rows.extend([tuple(sorted((j, a) for j, a in row.items() if a))] * n)
+        for table in self._tables:
+            for (p_cls, q_cls), entries in table.items():
+                pair = (index[p_cls.key], index[q_cls.key])
+                for r_cls, n in entries:
+                    row = Counter(pair)
+                    row[index[r_cls.key]] -= 1
+                    rows.extend([tuple(sorted((j, a) for j, a in row.items() if a))] * n)
         return tuple(rows)
 
     @property
@@ -587,49 +596,6 @@ class K0Presentation:
         if not all(isinstance(a, int) and not isinstance(a, bool) for a in vector):
             raise VectorError("vector entries must be ints")
         return not any(sum(map(operator.mul, vector, counts)) for counts in self._color_counts)
-
-
-def _smith_by_pivots(
-    width: int, point_splits: dict[int, tuple[int, int]], splits: dict[tuple[int, int, int], int]
-) -> tuple[int, ...]:
-    """Nonzero invariant factors of the rows of ``splits``, pivoting on the certificate.
-
-    Column 0 is the empty class, and every column of ``point_splits``
-    (a class P of size >= 2) has the pivot row [pt] + [P \\ pt] - [P],
-    whose entry at P is -1 and whose other columns are smaller classes;
-    the split (empty, empty) -> empty, if present, pivots at column 0.
-    That block is unit triangular, so eliminating it contributes one factor
-    1 per pivot, and the Schur complement is each (distinct) split reduced
-    over the free columns to red(sub) + red(rest) - red(whole): a pivot
-    column P stands for red(P) = red(pt) + red(P \\ pt), computed in
-    increasing index (so increasing size), the empty class for nothing, and
-    each free column for its own unit vector.  A pivot row reduces to zero,
-    and so does every split when the certificate holds; what is left goes
-    to ``linalg.smith_diagonal``.
-    """
-    empty_pivot = (0, 0, 0) in splits
-    red: list[dict[int, int]] = []
-    for j in range(width):
-        split = point_splits.get(j)
-        if split is None:
-            red.append({} if j == 0 and empty_pivot else {j: 1})
-            continue
-        point, rest = split
-        vec = dict(red[point])
-        for c, a in red[rest].items():
-            vec[c] = vec.get(c, 0) + a
-        red.append(vec)
-    residual = []
-    for sub, rest, whole in splits:
-        vec = {}
-        for j, a in ((sub, 1), (rest, 1), (whole, -1)):
-            for c, v in red[j].items():
-                vec[c] = vec.get(c, 0) + a * v
-        reduced = [(c, v) for c, v in vec.items() if v]
-        if reduced:
-            residual.append(tuple(sorted(reduced)))
-    pivots = len(point_splits) + empty_pivot
-    return (1,) * pivots + linalg.smith_diagonal(residual)
 
 
 def k0_truncated(ctx: FamilyContext, cutoff: int) -> K0Presentation:

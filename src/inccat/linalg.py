@@ -13,20 +13,20 @@ SNF(A')``, so each pivot contributes one invariant factor 1.  The rows
 are swept in increasing length; at each row with a unit entry, the
 pivot is the unit whose column holds the fewest rows, which keeps the
 fill-in small.  Sweeps repeat until a whole sweep makes no pivot.  No
-priority queue orders the pivots, because no caller needs one: K0 hands
-this module an empty residual, ``primitive_basis`` small reduced
-coproduct matrices, and the oracle all of the K0 relations, whose
-sweeps reach every unit pivot in seconds even at fin up to 8 (605,062
-rows).  A residual block with no unit entry left, if any, goes to
+priority queue orders the pivots, because no caller needs one:
+``primitive_basis`` hands this module small reduced coproduct matrices,
+and the oracle all of the K0 relations, whose sweeps reach every unit
+pivot in seconds even at fin up to 8 (605,062 rows).  A residual block with no unit entry left, if any, goes to
 sympy's ``invariant_factors``; sympy is imported only then.  Every
 value is a Python int throughout.
 
 Each row comes in as its sparse ``(column, value)`` entries, ``Entries``.
 
-``hall.K0Presentation`` pivots on its certificate's rows itself and hands
-this module only the rows left over, none when the certificate holds.
-On all of its relations, whose rows it builds only for this check,
-``smith_diagonal`` is the oracle for that reduction, in tests and in CI.
+``hall.K0Presentation`` reads its Smith form off its certificate and
+calls ``smith_diagonal`` only when the certificate fails, for the exact
+factors of its error.  On all of its relations, whose rows it builds
+only for this check, ``smith_diagonal`` is the oracle for the certified
+Smith form, in tests and in CI.
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 
 from inccat.category import CategoryObject, short_exact_sequences
-from inccat import hall, memo
+from inccat import hall, linalg, memo
 from inccat.errors import CoefficientError, FamilyError, IncCatError, TruncationError, VectorError
 from inccat.families import (
     colored_sets_up_to,
@@ -604,6 +604,11 @@ class TestK0:
         with pytest.raises(FamilyError):
             k0_truncated(fin_up_to(2), -1)
 
+    @pytest.mark.parametrize("cutoff", [2.5, True, "2", None], ids=["float", "bool", "string", "none"])
+    def test_cutoff_must_be_an_int(self, cutoff):
+        with pytest.raises(FamilyError, match="cutoff must be an int"):
+            k0_truncated(fin_up_to(2), cutoff)
+
     @pytest.mark.parametrize(
         "vector",
         [[0] * 8, [0] * 10, [0.0] * 9, [0] * 8 + [1.0], ["0"] * 9, [False] * 9],
@@ -653,20 +658,30 @@ class TestK0:
             k0_truncated(fin_up_to(3), 3)
 
     @pytest.mark.parametrize(
-        "whole_size, expected",
-        [(1, r"free rank 0 and torsion \[\]"), (0, r"free rank 0 and torsion \[2\]")],
-        ids=["unit-residual", "torsion-residual"],
+        "spec, whole_colors, expected",
+        [
+            ("fin", (1,), r"free rank 0 and torsion \[\]"),
+            ("fin", (0,), r"free rank 0 and torsion \[2\]"),
+            ("csets:2", (1, 1), r"free rank 1 and torsion \[\]"),
+        ],
+        ids=["unit-residual", "torsion-residual", "color-mismatch"],
     )
-    def test_extra_row_outside_the_certificate_raises(self, monkeypatch, whole_size, expected):
-        # One more row (pt, pt) -> X: the certificate rows still pivot, and
-        # the extra row reduces to [pt] + [pt] - [X] over the point column.
-        # Into the point it leaves a unit, so nothing stays free; into the
-        # empty class, which the row [empty] pins to zero, it leaves 2.
+    def test_extra_row_outside_the_certificate_raises(self, monkeypatch, spec, whole_colors, expected):
+        # One more row (pt, pt) -> X whose colors do not add up, so the
+        # certificate fails and the general elimination gives the error.
+        # Into the point the row [pt] + [pt] - [pt] leaves nothing free; into
+        # the empty class, which the row [empty] pins to zero, it leaves
+        # torsion 2.  In csets:2 the sizes add up: (red, red) -> the red and
+        # blue 2-antichain makes red and blue equal, so one color stays free.
         def extra_split(ctx, total):
             table = real_split_index(ctx, total)
             if total != 2:
                 return table
-            point, whole = ctx.classes(1)[0], ctx.classes(whole_size)[0]
+            point = ctx.classes(1)[0]
+            (whole,) = [
+                cls for size in range(3) for cls in ctx.classes(size)
+                if cls.color_vector == whole_colors
+            ]
             table = dict(table)
             table[(point, point)] = (*table[(point, point)], (whole, 1))
             return table
@@ -674,7 +689,19 @@ class TestK0:
         real_split_index = hall.split_index
         monkeypatch.setattr(hall, "split_index", extra_split)
         with pytest.raises(IncCatError, match=expected):
-            k0_truncated(fin_up_to(3), 3)
+            k0_truncated(family_from_spec(spec, 3), 3)
+
+    def test_certified_presentations_run_no_elimination(self, monkeypatch):
+        # The certificate fixes the Smith form, so a valid presentation
+        # never reaches the general elimination.
+        def no_elimination(rows):
+            raise AssertionError("linalg.smith_diagonal called on a certified presentation")
+
+        monkeypatch.setattr(linalg, "smith_diagonal", no_elimination)
+        for spec, cutoff, points in (("fin", 5, 1), ("csets:2", 4, 2), ("cforests:2", 4, 2)):
+            pres = k0_truncated(family_from_spec(spec, cutoff), cutoff)
+            assert pres.free_rank == points and pres.torsion == (), spec
+            assert pres.smith_diagonal == (1,) * (len(pres.generators) - points), spec
 
     def test_queries_do_not_load_sympy(self):
         code = (

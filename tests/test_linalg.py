@@ -2,7 +2,8 @@
 
 The oracle calls sympy's ``invariant_factors`` on the whole dense matrix,
 not through ``linalg``, which hands sympy only the residual block left
-after the unit pivots.
+after the unit pivots.  The elimination is in turn the oracle for the
+Smith form that ``K0Presentation`` reads off its certificate.
 """
 
 import os
@@ -107,7 +108,7 @@ FAMILIES = ["fin", "forests", "csets:2", "cforests:2"]
 def test_k0_relation_matrices_exhaustive(spec):
     """Every K0 relation matrix at cutoff <= 4, alone and with a generator row.
 
-    ``K0Presentation`` pivots on the certificate's rows; the general
+    ``K0Presentation`` reads its Smith form off the certificate; the general
     elimination on all of its relations is the oracle for that Smith form.
     The generator row is the class of a largest generator, so the extended
     matrix presents a quotient with torsion in fin and forests and leaves a
