@@ -114,7 +114,8 @@ class FamilyContext:
     Membership is decided by the index alone: a poset of size at most
     ``max_size`` belongs to the family exactly when its canonical key is
     one of the generated classes.  :func:`verify_closure` checks that
-    the index is closed under convex subposets and disjoint unions.
+    the index is closed under convex subposets and disjoint unions.  It
+    numbers the classes by size, then in class order, as ``_classes`` lists them.
 
     ``memo`` holds the tables of results that depend on the context,
     one per name declared in :mod:`inccat.memo`; they live and die with
@@ -126,7 +127,8 @@ class FamilyContext:
     num_colors: int
     max_size: int
     classes_by_size: tuple[tuple[IsoClass, ...], ...]
-    _by_key: dict[bytes, IsoClass] = field(repr=False)
+    _by_key: dict[bytes, int] = field(repr=False)
+    _classes: tuple[IsoClass, ...] = field(repr=False)
     memo: dict[str, dict] = field(default_factory=context_tables, init=False, repr=False)
 
     def classes(self, size: int) -> tuple[IsoClass, ...]:
@@ -141,7 +143,7 @@ class FamilyContext:
         return self.classes_by_size[size]
 
     def all_classes(self) -> list[IsoClass]:
-        return [cls for group in self.classes_by_size for cls in group]
+        return list(self._classes)
 
     @property
     def empty_class(self) -> IsoClass:
@@ -157,10 +159,10 @@ class FamilyContext:
                 f"family {self.name!r} is truncated at size {self.max_size}, "
                 f"got a poset of size {p.size}"
             )
-        cls = self._by_key.get(canonical_form(p, self.mode))
-        if cls is None:
+        number = self._by_key.get(canonical_form(p, self.mode))
+        if number is None:
             raise FamilyError(f"poset is not a member of family {self.name!r}")
-        return cls
+        return self._classes[number]
 
 
 def _add_maximal_element(p: Poset, below: int, color: int) -> Poset:
@@ -309,16 +311,13 @@ def _family(
             sorted((canonical_form(d, mode), d) for d in (p.dual() for _, p in level))
             for level in levels
         ]
-    classes_by_size = []
-    by_key: dict[bytes, IsoClass] = {}
-    for size, level in enumerate(levels):
-        group = []
-        for key, rep in level:
-            cls = IsoClass(key, rep, size, _color_vector(rep, num_colors), mode)
-            group.append(cls)
-            by_key[key] = cls
-        classes_by_size.append(tuple(group))
-    return FamilyContext(name, mode, num_colors, max_size, tuple(classes_by_size), by_key)
+    classes_by_size = tuple(
+        tuple(IsoClass(key, rep, size, _color_vector(rep, num_colors), mode) for key, rep in level)
+        for size, level in enumerate(levels)
+    )
+    classes = tuple(cls for group in classes_by_size for cls in group)
+    by_key = {cls.key: number for number, cls in enumerate(classes)}
+    return FamilyContext(name, mode, num_colors, max_size, classes_by_size, by_key, classes)
 
 
 def fin_up_to(n: int) -> FamilyContext:

@@ -15,29 +15,22 @@ ints and Fractions are accepted as coefficients or scalars.  The algebra
 is graded by poset size and connected in degree zero, so the counit is
 evaluation at the empty class and the antipode is the standard graded
 recursion over the reduced coproduct.  A family context supplies the
-classes of each degree; ``split_index`` inverts their ideal splits into
-an index from (sub, quotient) class pairs to the classes they assemble,
-read by ``product``, ``K0Presentation`` and ``inccat constants``.
-``K0Presentation`` keeps the index's tables as its relations and reads
-its Smith form off a certificate that it checks in one pass over them,
-so a valid presentation runs no elimination.
+classes of each degree, numbered as K0's generators.  The split index
+of a degree maps P * width + Q, for sub and quotient class numbers P and
+Q, to an ``array('i')`` of the numbers R of the classes they assemble,
+each followed by N(P,Q;R); ``product`` and ``K0Presentation`` read it.
 Computations beyond the context's cutoff raise ``TruncationError``.
 
 Disjoint unions are handled at the level of canonical keys: the key of
-P (+) Q is the sorted component keys of P and Q
-(``posets.union_key``).  So the coproduct walks the sub-multisets of a
-class's components, and the split table of a disconnected class is the
-convolution of its components' tables, since the ideals of P (+) Q are
-the pairs of ideals of P and Q.  A connected class walks its ideals and
-looks up both sides of all of them in one ``posets.split_keys`` call,
-which builds a subposet only when its key has not been computed yet.
-A class at the cutoff is walked once and is a component of no other
-class, so its ideals come from ``ideals.ideal_masks`` and its lattice is
-not stored.  The split tables count
-pairs of side keys, not classes, so no class is hashed per ideal;
-``split_index`` turns each distinct key pair into classes once, and
-that is where every side is checked to be a member of the family.  The
-poset-building routes stay as test oracles, and ``structure_constant``
+P (+) Q is the sorted component keys of P and Q (``posets.union_key``).
+So the coproduct walks the sub-multisets of a class's components, and
+the split table of a disconnected class is the convolution of its
+components' tables, since the ideals of P (+) Q are the pairs of ideals
+of P and Q.  A connected class looks up both sides of all its ideals in
+one ``posets.split_keys`` call.  The split tables count pairs of side
+keys, so no class is hashed per ideal; each distinct pair is numbered
+once, which is where every side is checked to be a member of the family.
+The poset-building routes stay as test oracles, and ``structure_constant``
 stays an independent check by explicit isomorphism search.
 """
 
@@ -45,6 +38,7 @@ from __future__ import annotations
 
 import itertools
 import operator
+from array import array
 from collections import Counter
 from fractions import Fraction
 from typing import Sequence
@@ -185,25 +179,39 @@ def unit(ctx: FamilyContext) -> HallElement:
 def split_index(ctx: FamilyContext, total: int) -> dict:
     """(class of X_I, class of X_{R\\I}) -> ((R, number of such I), ...).
 
-    Inverts the ideal splits of every class R of size ``total`` (see
-    :func:`_split_counts`), so the entry for (P, Q) lists each R with
-    N(P,Q;R) > 0: a product visits only the classes its factors can
-    reach.  The inversion runs on the side keys; each distinct pair of
-    them is turned into classes once at the end, which is where every
-    side is checked to be a member (:func:`_class_of_key`).  Computed
-    once per degree and context.
+    A view of :func:`_split_arrays` by classes, in its order, built on
+    each call; ``inccat constants`` and the tests read it.
+    """
+    classes, at = ctx._classes, ctx._classes.__getitem__
+    return {
+        tuple(map(at, divmod(pq, len(classes)))): tuple(zip(map(at, found[::2]), found[1::2]))
+        for pq, found in _split_arrays(ctx, total).items()
+    }
+
+
+def _split_arrays(ctx: FamilyContext, total: int) -> dict[int, array]:
+    """P * width + Q -> array('i') of R, N(P,Q;R), R, ... by class number; width counts classes.
+
+    Inverts the ideal splits of the classes R of size ``total``.  Each
+    distinct pair of side keys is numbered once, which checks that both
+    sides are members.  Kept in ``ctx.memo["splits"]``, once per degree.
     """
     table = ctx.memo["splits"]
     hit = table.get(total)
     if hit is not None:
         return hit
-    index: dict[tuple[bytes, bytes], list] = {}
-    for r_cls in ctx.classes(total):
+    start = sum(map(len, ctx.classes_by_size[:total]))
+    grouped: dict[tuple[bytes, bytes], array] = {}
+    for r, r_cls in enumerate(ctx.classes(total), start):
         for pair, n in _split_counts(ctx, r_cls).items():
-            index.setdefault(pair, []).append((r_cls, n))
+            entries = grouped.get(pair)
+            if entries is None:
+                entries = grouped[pair] = array("i")
+            entries.append(r)
+            entries.append(n)
     result = {
-        (_class_of_key(ctx, p_key), _class_of_key(ctx, q_key)): tuple(entries)
-        for (p_key, q_key), entries in index.items()
+        _class_number(ctx, p_key) * len(ctx._classes) + _class_number(ctx, q_key): entries
+        for (p_key, q_key), entries in grouped.items()
     }
     table[total] = result
     return result
@@ -212,14 +220,11 @@ def split_index(ctx: FamilyContext, total: int) -> dict:
 def _split_counts(ctx: FamilyContext, r_cls: IsoClass) -> dict:
     """(key of X_I, key of X_{R\\I}) -> number of ideals I of R.
 
-    A connected R walks its ideals.  The ideals of a disjoint union are
-    the tuples of ideals of its components, and X_I is the disjoint union
-    of the components' pieces, so a disconnected R convolves the tables
+    A connected R walks its ideals; a disconnected R convolves the tables
     of its components, joining component keys on each side.  Only the
-    tables of connected classes below the cutoff are kept (in
-    ``ctx.memo["component_splits"]``, under the class's key): those are
-    the classes that can be components of a class of the context.  The
-    side keys are not checked here; :func:`split_index` checks them.
+    tables of connected classes below the cutoff, the possible components
+    of a class of the context, are kept, in ``ctx.memo["component_splits"]``
+    by key.  :func:`_split_arrays` checks the side keys.
     """
     table = ctx.memo["component_splits"]
     hit = table.get(r_cls.key)
@@ -228,23 +233,14 @@ def _split_counts(ctx: FamilyContext, r_cls: IsoClass) -> dict:
     parts = component_keys(r_cls.key)
     if len(parts) > 1:
         return _convolved_splits(ctx, parts)
-    counts = _ideal_splits(ctx, r_cls)
+    # A class at the cutoff is walked once: its ideals are enumerated
+    # unsorted, and its lattice is not stored.
+    rep = r_cls.representative
+    masks = ideal_masks(rep) if r_cls.size == ctx.max_size else order_ideals(rep).ideals
+    counts = Counter(split_keys(rep, masks, ctx.mode))
     if parts and r_cls.size < ctx.max_size:
         table[r_cls.key] = counts
     return counts
-
-
-def _ideal_splits(ctx: FamilyContext, r_cls: IsoClass) -> dict:
-    """The split table of R by its ideals, each side the key of its subposet.
-
-    A class at the cutoff is walked once, as a component of no other
-    class (see :func:`_split_counts`), so its ideals are enumerated
-    unsorted and its lattice is not stored; a smaller class reads its
-    lattice, which generation has already stored.
-    """
-    rep = r_cls.representative
-    masks = ideal_masks(rep) if r_cls.size == ctx.max_size else order_ideals(rep).ideals
-    return Counter(split_keys(rep, masks, ctx.mode))
 
 
 def _convolved_splits(ctx: FamilyContext, parts: tuple[bytes, ...]) -> dict:
@@ -258,7 +254,7 @@ def _convolved_splits(ctx: FamilyContext, parts: tuple[bytes, ...]) -> dict:
     for part, m in Counter(parts).items():
         pieces = [
             (component_keys(p_key), component_keys(q_key), n)
-            for (p_key, q_key), n in _split_counts(ctx, _class_of_key(ctx, part)).items()
+            for (p_key, q_key), n in _split_counts(ctx, ctx._classes[_class_number(ctx, part)]).items()
         ]
         for _ in range(m):
             step: dict[tuple[tuple[bytes, ...], tuple[bytes, ...]], int] = {}
@@ -272,12 +268,12 @@ def _convolved_splits(ctx: FamilyContext, parts: tuple[bytes, ...]) -> dict:
     }
 
 
-def _class_of_key(ctx: FamilyContext, key: bytes) -> IsoClass:
-    """The class with canonical key ``key``; a piece of a member must be one."""
-    cls = ctx._by_key.get(key)
-    if cls is None:
-        raise FamilyError(f"a convex piece of a class is not a member of family {ctx.name!r}")
-    return cls
+def _class_number(ctx: FamilyContext, key: bytes) -> int:
+    """The number of the class with canonical key ``key``."""
+    number = ctx._by_key.get(key)
+    if number is None:
+        raise FamilyError(f"class {key.hex()} is not a member of family {ctx.name!r}")
+    return number
 
 
 def product(f: HallElement, g: HallElement, ctx: FamilyContext) -> HallElement:
@@ -287,16 +283,19 @@ def product(f: HallElement, g: HallElement, ctx: FamilyContext) -> HallElement:
     representative of f([X_I]) g([X_{R \\ I}]); grouping the ideals by the
     classes of X_I and X_{R \\ I}, each pair of terms x delta_P of f and
     y delta_Q of g adds x y N(P,Q;R) to every R the index lists for (P, Q).
+    A factor class that is not a class of ``ctx`` raises ``FamilyError``.
     """
-    indexes = {}
-    for total in sorted({p.size + q.size for p in f.coeffs for q in g.coeffs}):
-        indexes[total] = split_index(ctx, total)
-    out: dict[IsoClass, Fraction] = {}
+    classes = ctx._classes
+    right = [(_class_number(ctx, q.key), q.size, y) for q, y in g.coeffs.items()]
+    out: dict[int, Fraction] = {}
     for p_cls, x in f.coeffs.items():
-        for q_cls, y in g.coeffs.items():
-            for r_cls, n in indexes[p_cls.size + q_cls.size].get((p_cls, q_cls), ()):
-                out[r_cls] = out.get(r_cls, 0) + x * y * n
-    return HallElement(out)
+        row = _class_number(ctx, p_cls.key) * len(classes)
+        for q, q_size, y in right:
+            entries = _split_arrays(ctx, p_cls.size + q_size).get(row + q, ())
+            xy = x * y
+            for r, n in zip(entries[::2], entries[1::2]):
+                out[r] = out.get(r, 0) + xy * n
+    return HallElement({classes[r]: v for r, v in out.items()})
 
 
 def structure_constant(p_cls: IsoClass, q_cls: IsoClass, r_cls: IsoClass) -> int:
@@ -344,7 +343,8 @@ def coproduct(f: HallElement, ctx: FamilyContext) -> TensorElement:
             right = [part for part, a, m in zip(parts, pick, mults) for _ in range(m - a)]
             # a pair of classes determines the reassembled union up to
             # isomorphism, so this never collides across support classes
-            out[(_class_of_key(ctx, union_key(left)), _class_of_key(ctx, union_key(right)))] = value
+            sub = ctx._classes[_class_number(ctx, union_key(left))]
+            out[(sub, ctx._classes[_class_number(ctx, union_key(right))])] = value
     return TensorElement(out)
 
 
@@ -464,17 +464,17 @@ def primitive_basis(ctx: FamilyContext, degree: int) -> list[HallElement]:
 class K0Presentation:
     """A truncated presentation of the Grothendieck group.
 
-    Generators are all iso-classes up to the cutoff; one relation
+    Generators are all iso-classes up to the cutoff, so a generator's
+    column is its class number; one relation
     [X_I] + [X_{P \\ I}] - [X_P] per ideal I of each representative, read
-    off ``split_index`` (the degenerate ideals pin the empty class to zero);
+    off the split index (the degenerate ideals pin the empty class to zero);
     ``category.ses-classification`` verifies that these ideals match the
     short exact sequences one to one.  They are kept as the index's own
-    per-degree tables of counted splits (sub, rest) -> ((whole, n), ...),
-    and ``relations`` builds rows from them on demand.
+    per-degree arrays, and ``relations`` builds rows from them on demand.
 
     The relation lattice is the kernel of the color-count map chi, which
     sends a generator to its ``IsoClass.color_vector``.  The certificate,
-    checked at construction in one pass over the tables:
+    checked at construction in one pass over the arrays:
 
     1. A minimal element m of P is an order ideal, so the split
        [X_P] = [X_m] + [X_{P \\ m}] is a relation: every generator of size
@@ -491,15 +491,11 @@ class K0Presentation:
 
     So ``relations_contain`` reads chi alone, and the Smith normal form is
     the one the certificate fixes: a factor 1 for each generator that is
-    not a point class, no elimination needed.  A missing point split
-    raises ``IncCatError``.  When step 2's empty split or step 3 fails,
-    ``linalg.smith_diagonal`` on all of ``relations`` gives the exact
-    invariant factors for the ``IncCatError`` that is raised.
-
-    ``linalg.smith_diagonal`` on all of ``relations`` is also the oracle
-    for the certified Smith form: ``tests/test_linalg.py`` compares the
-    two on every family at cutoffs 0-4, and the CI compares them on fin
-    up to 7.
+    not a point class.  A missing point split raises ``IncCatError``; so
+    does a failure of step 2's empty split or of step 3, with the exact
+    invariant factors of ``linalg.smith_diagonal`` on all of
+    ``relations``.  That elimination is also the oracle for the certified
+    Smith form, in ``tests/test_linalg.py`` and in CI.
     """
 
     def __init__(self, ctx: FamilyContext, cutoff: int):
@@ -509,32 +505,37 @@ class K0Presentation:
             raise FamilyError(f"cutoff must be nonnegative, got {cutoff}")
         self.family = ctx.name
         self.cutoff = cutoff
-        self.generators: tuple[IsoClass, ...] = tuple(
-            cls for size in range(cutoff + 1) for cls in ctx.classes(size)
-        )
-        self._index = {cls.key: i for i, cls in enumerate(self.generators)}
-        self._tables = tuple(split_index(ctx, total) for total in range(cutoff + 1))
+        self._tables = tuple(_split_arrays(ctx, total) for total in range(cutoff + 1))
+        count = sum(map(len, ctx.classes_by_size[: cutoff + 1]))
+        self.generators: tuple[IsoClass, ...] = ctx._classes[:count]
+        self._by_key = ctx._by_key
+        self._width = width = len(ctx._classes)
+        # chi as one int per generator, its color counts the digits in base cutoff + 1:
+        # no count of sub plus rest reaches the base, so ints add up as vectors do.
+        digits = [(cutoff + 1) ** i for i in range(ctx.num_colors)]
+        chi = [sum(map(operator.mul, cls.color_vector, digits)) for cls in self.generators]
         relation_count = 0
-        point_wholes: set[IsoClass] = set()
+        point_wholes: set[int] = set()
         colors_add = True
         for table in self._tables:
-            for (p_cls, q_cls), entries in table.items():
-                colors = tuple(map(operator.add, p_cls.color_vector, q_cls.color_vector))
-                for r_cls, n in entries:
+            for pq, entries in table.items():
+                p, q = divmod(pq, width)
+                whole = chi[p] + chi[q]
+                it = iter(entries)
+                for r, n in zip(it, it):
                     relation_count += n
-                    if r_cls.color_vector != colors:
+                    if chi[r] != whole:
                         colors_add = False
-                if p_cls.size == 1:
-                    point_wholes.update(r_cls for r_cls, _ in entries)
+                if self.generators[p].size == 1:
+                    point_wholes.update(entries[::2])
         self.relation_count: int = relation_count
-        for cls in self.generators:
-            if cls.size >= 2 and cls not in point_wholes:
+        for number, cls in enumerate(self.generators):
+            if cls.size >= 2 and number not in point_wholes:
                 raise IncCatError(
                     f"class {cls.hex_key} of family {ctx.name!r} has no relation "
                     "splitting off a single point"
                 )
-        empty = self.generators[0]
-        pins_empty = any(r_cls == empty for r_cls, _ in self._tables[0].get((empty, empty), ()))
+        pins_empty = 0 in self._tables[0].get(0, ())[::2]  # empty = number 0 = 0 * width + 0
         points = sum(cls.size == 1 for cls in self.generators)
         if not (colors_add and pins_empty):
             self.smith_diagonal: tuple[int, ...] = linalg.smith_diagonal(self.relations)
@@ -549,14 +550,13 @@ class K0Presentation:
     @property
     def relations(self) -> tuple[linalg.Entries, ...]:
         """n rows [sub] + [rest] - [whole], sparse and sorted, per split counted n times."""
-        index = self._index
         rows: list[linalg.Entries] = []
         for table in self._tables:
-            for (p_cls, q_cls), entries in table.items():
-                pair = (index[p_cls.key], index[q_cls.key])
-                for r_cls, n in entries:
+            for pq, entries in table.items():
+                pair = divmod(pq, self._width)
+                for r, n in zip(entries[::2], entries[1::2]):
                     row = Counter(pair)
-                    row[index[r_cls.key]] -= 1
+                    row[r] -= 1
                     rows.extend([tuple(sorted((j, a) for j, a in row.items() if a))] * n)
         return tuple(rows)
 
@@ -569,8 +569,8 @@ class K0Presentation:
         return tuple(d for d in self.smith_diagonal if d > 1)
 
     def class_vector(self, cls: IsoClass) -> list[int]:
-        i = self._index.get(cls.key)
-        if i is None:
+        i = self._by_key.get(cls.key)
+        if i is None or i >= len(self.generators):
             if cls.size > self.cutoff:
                 raise TruncationError(
                     f"class {cls.hex_key} has size {cls.size}, the presentation stops at "

@@ -26,7 +26,8 @@ stores an equal value, so a race can only repeat work.
 Context tables live in ``FamilyContext.memo``, one dict per name, and
 die with the context:
 
-* ``splits``: the Hall split index by degree.
+* ``splits``: the Hall split index by degree, as ints only: class pair
+  P * width + Q to an ``array('i')`` of (R, N(P,Q;R)) pairs, flattened.
 * ``component_splits``: the split table of each connected class below
   the cutoff by key, its sides as key pairs.
 * ``intervals``: the interval classes of each poset's ideal splits by

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from array import array
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -215,6 +216,24 @@ class TestProduct:
         with pytest.raises(TruncationError):
             product(d, d, small)
 
+    def test_factor_outside_the_family_raises(self, fin):
+        # the one poset of size 3 that is not a forest, and a colored point
+        forests = forests_up_to(4)
+        (x,) = [cls for cls in fin.classes(3) if not forests.contains(cls.representative)]
+        with pytest.raises(FamilyError, match="not a member of family 'forests'"):
+            product(delta(x), delta(forests.classes(1)[0]), forests)
+        with pytest.raises(FamilyError, match="not a member of family 'fin'"):
+            product(delta(colored_sets_up_to(2, 2).classes(1)[0]), delta(fin.classes(1)[0]), fin)
+
+    def test_factor_from_another_context_with_the_same_key(self, fin):
+        # classes are matched by key, not by the context that built them
+        small = fin_up_to(3)
+        for a in small.classes(1) + small.classes(2):
+            mine = fin.class_of(a.representative)
+            for b in fin.classes(2):
+                assert product(delta(a), delta(b), fin) == product(delta(mine), delta(b), fin)
+                assert product(delta(b), delta(a), fin) == product(delta(b), delta(mine), fin)
+
 
 class TestStructureConstants:
     def test_dot_dot(self, fin):
@@ -335,6 +354,22 @@ class TestKeyLevelUnions:
         ctx = family_from_spec(spec, max_size)
         for cls in ctx.all_classes():
             assert hall._split_counts(ctx, cls) == per_ideal_split_counts(ctx, cls)
+
+    def test_fin7_split_counts_are_pinned(self):
+        # Pairs (P, Q) and entries (P, Q) -> R per degree, and the relations
+        # they count; a walk that moves any of them fails here.
+        ctx = fin_up_to(7)
+        tables = [hall._split_arrays(ctx, total) for total in range(8)]
+        assert [len(table) for table in tables] == [1, 2, 5, 14, 46, 178, 851, 5138]
+        entries = [sum(len(found) // 2 for found in table.values()) for table in tables]
+        assert entries == [1, 2, 6, 22, 101, 574, 4131, 37828]
+        assert k0_truncated(ctx, 7).relation_count == 54724
+        # The stored index is ints only: no class and no tuple per entry.
+        assert ctx.memo["splits"] == dict(enumerate(tables))
+        for table in tables:
+            assert {type(pq) for pq in table} == {int}
+            assert {(type(found), found.typecode) for found in table.values()} == {(array, "i")}
+            assert all(found and len(found) % 2 == 0 for found in table.values())
 
     def test_split_walk_stores_no_lattice_at_the_cutoff(self, cold_memo):
         ctx = fin_up_to(7)
@@ -631,31 +666,31 @@ class TestK0:
         with pytest.raises(FamilyError):
             pres.class_vector(cls_by_covers(fin_up_to(2), 2, 1))
 
-    def test_missing_certificate_row_raises(self, monkeypatch):
+    # The tests below corrupt the stored split arrays of a fresh context,
+    # keyed by P * width + Q with the class numbers P and Q, before the
+    # presentation reads them.
+    def test_missing_certificate_row_raises(self):
         # Without the splits of a point off each size-2 class, the
         # certificate cannot reach those classes.
-        def no_point_splits(ctx, total):
-            table = real_split_index(ctx, total)
-            if total != 2:
-                return table
-            return {pair: e for pair, e in table.items() if pair[0].size != 1}
-
-        real_split_index = hall.split_index
-        monkeypatch.setattr(hall, "split_index", no_point_splits)
+        ctx = fin_up_to(3)
+        classes = ctx.all_classes()
+        table = hall._split_arrays(ctx, 2)
+        for pq in [pq for pq in table if classes[pq // len(classes)].size == 1]:
+            del table[pq]
         with pytest.raises(IncCatError, match="single point"):
-            k0_truncated(fin_up_to(3), 3)
+            k0_truncated(ctx, 3)
 
-    def test_smith_form_disagreeing_with_the_certificate_raises(self, monkeypatch):
+    def test_smith_form_disagreeing_with_the_certificate_raises(self):
         # Dropping the splits with an empty side frees the empty class:
         # the point splits remain, but the free rank becomes 2.
-        def no_empty_splits(ctx, total):
-            table = real_split_index(ctx, total)
-            return {pair: e for pair, e in table.items() if pair[0].size and pair[1].size}
-
-        real_split_index = hall.split_index
-        monkeypatch.setattr(hall, "split_index", no_empty_splits)
+        ctx = fin_up_to(3)
+        width = len(ctx.all_classes())
+        for total in range(4):
+            table = hall._split_arrays(ctx, total)
+            for pq in [pq for pq in table if 0 in divmod(pq, width)]:
+                del table[pq]
         with pytest.raises(IncCatError, match="free rank 2"):
-            k0_truncated(fin_up_to(3), 3)
+            k0_truncated(ctx, 3)
 
     @pytest.mark.parametrize(
         "spec, whole_colors, expected",
@@ -666,30 +701,22 @@ class TestK0:
         ],
         ids=["unit-residual", "torsion-residual", "color-mismatch"],
     )
-    def test_extra_row_outside_the_certificate_raises(self, monkeypatch, spec, whole_colors, expected):
+    def test_extra_row_outside_the_certificate_raises(self, spec, whole_colors, expected):
         # One more row (pt, pt) -> X whose colors do not add up, so the
         # certificate fails and the general elimination gives the error.
         # Into the point the row [pt] + [pt] - [pt] leaves nothing free; into
         # the empty class, which the row [empty] pins to zero, it leaves
         # torsion 2.  In csets:2 the sizes add up: (red, red) -> the red and
         # blue 2-antichain makes red and blue equal, so one color stays free.
-        def extra_split(ctx, total):
-            table = real_split_index(ctx, total)
-            if total != 2:
-                return table
-            point = ctx.classes(1)[0]
-            (whole,) = [
-                cls for size in range(3) for cls in ctx.classes(size)
-                if cls.color_vector == whole_colors
-            ]
-            table = dict(table)
-            table[(point, point)] = (*table[(point, point)], (whole, 1))
-            return table
-
-        real_split_index = hall.split_index
-        monkeypatch.setattr(hall, "split_index", extra_split)
+        ctx = family_from_spec(spec, 3)
+        classes = ctx.all_classes()
+        point = classes.index(ctx.classes(1)[0])
+        (whole,) = [
+            i for i, cls in enumerate(classes) if cls.size < 3 and cls.color_vector == whole_colors
+        ]
+        hall._split_arrays(ctx, 2)[point * len(classes) + point].extend((whole, 1))
         with pytest.raises(IncCatError, match=expected):
-            k0_truncated(family_from_spec(spec, 3), 3)
+            k0_truncated(ctx, 3)
 
     def test_certified_presentations_run_no_elimination(self, monkeypatch):
         # The certificate fixes the Smith form, so a valid presentation

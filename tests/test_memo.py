@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from inccat import hall, ideals, memo
 from inccat.cli import main
 from inccat.families import fin_up_to
-from inccat.hall import antipode, delta, k0_truncated, product
+from inccat.hall import antipode, delta, k0_truncated, product, split_index
 from inccat.incidence import phi, schmitt_antipode
 from inccat.posets import (
     MapMode,
@@ -60,6 +60,7 @@ def test_split_index_built_once_per_degree(monkeypatch):
     a, b = ctx.classes(1)[0], ctx.classes(2)[1]
     product(delta(a), delta(b), ctx)
     assert set(ctx.memo["splits"]) == {3}
+    stored = ctx.memo["splits"][3]
 
     walked = []
 
@@ -70,7 +71,11 @@ def test_split_index_built_once_per_degree(monkeypatch):
     real_split_counts = hall._split_counts
     monkeypatch.setattr(hall, "_split_counts", counting)
     product(delta(b), delta(a), ctx)
-    assert walked == []
+    # the dict view by classes is built from the stored arrays on each
+    # call: no walk, and nothing stored in their place
+    view = split_index(ctx, 3)
+    assert view == split_index(ctx, 3) and view is not split_index(ctx, 3)
+    assert walked == [] and ctx.memo["splits"][3] is stored
     product(delta(a), delta(a), ctx)
     # the antichain also reads the table of its component, the point
     assert set(ctx.classes(2)) <= set(walked) and set(ctx.memo["splits"]) == {2, 3}
@@ -196,6 +201,8 @@ def test_stats_counts_every_declared_table():
     assert stats["iso_signatures"] == len(memo.process_table("iso_signatures")) >= 1
     assert json.loads(json.dumps(stats)) == stats
     assert stats["splits"] == len(ctx.memo["splits"]) == 1
+    split_index(ctx, 2)
+    assert memo.stats(ctx)["splits"] == 2
     assert memo.stats() == {name: stats[name] for name in memo.PROCESS_TABLES}
 
 
